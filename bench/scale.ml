@@ -24,7 +24,7 @@
               dune exec bench/scale.exe -- --smoke (tiny sweep, for CI)
               dune exec bench/scale.exe -- --sizes 8192,65536 --hosts 2
                 (explicit grid; CI's scale gate uses this pair to check
-                that hybrid throughput is size-independent)
+                that iou, rs, ws and hybrid throughput is size-independent)
               dune exec bench/scale.exe -- --fig41-only
                 (only the largest Figure 4-1 trial's allocation probe)
               dune exec bench/scale.exe -- --domains 4
@@ -93,6 +93,11 @@ let run_trial_once ?frames ~strategy ~real_pages ~n_hosts () =
     | Some frames_per_host ->
         { Accent_kernel.Cost_model.default with frames_per_host }
   in
+  (* start from a collected heap: the major-GC debt a previous trial
+     leaves (a 65536-page copy leaves plenty) would otherwise be paid
+     inside this one's wall clock, and the gated ratios compare trials
+     that follow different predecessors *)
+  Gc.full_major ();
   let wall0 = Unix.gettimeofday () in
   let alloc0 = Gc.minor_words () in
   let world = World.create ~costs ~n_hosts () in
@@ -293,7 +298,14 @@ let () =
                 (fun (real_pages, frames, n_hosts) ->
                   (strategy, Some frames, real_pages, n_hosts))
                 constrained)
-          [ Strategy.pure_iou (); Strategy.hybrid () ]
+          [
+            Strategy.pure_copy;
+            Strategy.pure_iou ();
+            Strategy.resident_set ();
+            Strategy.working_set ();
+            Strategy.pre_copy ();
+            Strategy.hybrid ();
+          ]
       in
       Accent_util.Domain_pool.map_list ~domains
         (fun (strategy, frames, real_pages, n_hosts) ->

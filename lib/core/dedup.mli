@@ -20,7 +20,7 @@ type t
 exception Unresolvable of string
 (** Raised by {!resolve} when a digest reference cannot be materialised
     (e.g. the store evicted the value and a corrupt refill was rejected).
-    Engines translate this into {!Transfer_engine.Abort}. *)
+    {!Transfer} turns this into an aborted migration. *)
 
 val create :
   host:Accent_kernel.Host.t ->
@@ -45,8 +45,8 @@ val send :
     runs exactly once, immediately when negotiation is skipped. *)
 
 val handle : t -> Accent_ipc.Message.t -> bool
-(** The [Mig_digests]/[Mig_need] protocol handler, mounted as a
-    pseudo-engine on the MigrationManager port. *)
+(** The [Mig_digests]/[Mig_need] protocol handler on the
+    MigrationManager port, beside {!Transfer}'s. *)
 
 val give_up_proc : Accent_ipc.Message.payload -> int option
 (** Map an abandoned negotiation message to its migration. *)

@@ -1,14 +1,63 @@
 open Accent_mem
 open Accent_ipc
 open Accent_kernel
-open Transfer_engine
 
-(* --- sent sets ------------------------------------------------------------ *)
+exception Abort of string
+
+(* --- run algebra ---------------------------------------------------------- *)
 
 (* monomorphic order on closed page runs: the freeze-path sorts must not
    fall back to polymorphic compare *)
 let run_compare ((a1 : int), (a2 : int)) (b1, b2) =
   match Int.compare a1 b1 with 0 -> Int.compare a2 b2 | c -> c
+
+(* Coalesce a sorted list of closed page runs into maximal disjoint ones,
+   merging overlap and adjacency. *)
+let coalesce = function
+  | [] -> [||]
+  | first :: rest ->
+      let out = ref [] and cur = ref first in
+      List.iter
+        (fun (a, b) ->
+          let ca, cb = !cur in
+          if a <= cb + 1 then cur := (ca, max cb b)
+          else begin
+            out := (ca, cb) :: !out;
+            cur := (a, b)
+          end)
+        rest;
+      out := !cur :: !out;
+      Array.of_list (List.rev !out)
+
+(* [first, last] cut at the boundaries of [view] (maximal sorted disjoint
+   closed runs), ascending: [(true, a, b)] for a piece inside a run of
+   [view], [(false, a, b)] for a gap.  One binary search lands on the
+   first overlapping run, then only the runs the range intersects are
+   walked. *)
+let cut view ~first ~last =
+  let n = Array.length view in
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if snd view.(mid) < first then lo := mid + 1 else hi := mid
+  done;
+  let acc = ref [] and pos = ref first and i = ref !lo in
+  while !pos <= last do
+    if !i < n && fst view.(!i) <= !pos then begin
+      let b = min (snd view.(!i)) last in
+      acc := (true, !pos, b) :: !acc;
+      pos := b + 1;
+      incr i
+    end
+    else begin
+      let b = if !i < n then min (fst view.(!i) - 1) last else last in
+      acc := (false, !pos, b) :: !acc;
+      pos := b + 1
+    end
+  done;
+  List.rev !acc
+
+(* --- sent sets ------------------------------------------------------------ *)
 
 module Sent = struct
   (* The pages a migration's rounds have pushed.  Bulk pushes (a pre-copy
@@ -33,50 +82,12 @@ module Sent = struct
   let mark_run t ~first ~last =
     if last >= first then t.bulk <- (first, last) :: t.bulk
 
-  (* Coalesce a sorted list of closed page runs into maximal disjoint
-     ones, merging overlap and adjacency. *)
-  let coalesce = function
-    | [] -> [||]
-    | first :: rest ->
-        let out = ref [] and cur = ref first in
-        List.iter
-          (fun (a, b) ->
-            let ca, cb = !cur in
-            if a <= cb + 1 then cur := (ca, max cb b)
-            else begin
-              out := (ca, cb) :: !out;
-              cur := (a, b)
-            end)
-          rest;
-        out := !cur :: !out;
-        Array.of_list (List.rev !out)
-
   (* The whole sent set as maximal sorted disjoint closed page runs —
      built once per freeze, O(marks log marks), never O(space). *)
   let sorted_view t =
     coalesce
       (List.sort run_compare
          (Hashtbl.fold (fun p () acc -> (p, p) :: acc) t.tbl t.bulk))
-
-  (* Closed page runs of [first, last] not covered by [view], ascending:
-     one binary search to land on the first overlapping run, then a walk
-     of the runs the range actually intersects. *)
-  let uncovered view ~first ~last =
-    let n = Array.length view in
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if snd view.(mid) < first then lo := mid + 1 else hi := mid
-    done;
-    let acc = ref [] and pos = ref first and i = ref !lo in
-    while !pos <= last && !i < n && fst view.(!i) <= last do
-      let a, b = view.(!i) in
-      if a > !pos then acc := (!pos, a - 1) :: !acc;
-      if b >= !pos then pos := b + 1;
-      incr i
-    done;
-    if !pos <= last then acc := (!pos, last) :: !acc;
-    List.rev !acc
 end
 
 module Sent_pool = struct
@@ -160,8 +171,10 @@ let unsent_runs (image : Proc_image.t) ~sent =
   let view = Sent.sorted_view sent in
   List.concat_map
     (fun (lo, hi) ->
-      Sent.uncovered view ~first:(Page.index_of_addr lo)
-        ~last:(Page.index_of_addr (hi - 1)))
+      List.filter_map
+        (fun (inside, a, b) -> if inside then None else Some (a, b))
+        (cut view ~first:(Page.index_of_addr lo)
+           ~last:(Page.index_of_addr (hi - 1))))
     (Proc_image.real_ranges image)
 
 (* --- IOU chunks ----------------------------------------------------------- *)
@@ -196,12 +209,12 @@ let iou_chunks_of_image (image : Proc_image.t) =
    ranges, and each run's values are banked as one adopted extent — never
    a per-range fold over the sent set or a per-page lookup and insert,
    which would make every hybrid freeze O(space). *)
-let cold_iou_chunks ctx (image : Proc_image.t) ~sent =
+let cold_iou_chunks backing (image : Proc_image.t) ~sent =
   match unsent_runs image ~sent with
   | [] -> []
   | runs ->
-      let segment_id = Backing_server.new_segment ctx.backing in
-      let backing_port = Backing_server.port ctx.backing in
+      let segment_id = Backing_server.new_segment backing in
+      let backing_port = Backing_server.port backing in
       List.map
         (fun (first, last) ->
           let lo = Page.addr_of_index first
@@ -211,7 +224,7 @@ let cold_iou_chunks ctx (image : Proc_image.t) ~sent =
             with Failure _ ->
               raise (Abort "hybrid: cold page vanished at freeze")
           in
-          Backing_server.put_extent ctx.backing ~segment_id ~offset:lo run;
+          Backing_server.put_extent backing ~segment_id ~offset:lo run;
           {
             Memory_object.range = Vaddr.range lo hi;
             content = Memory_object.Iou { segment_id; backing_port; offset = lo };
@@ -221,12 +234,10 @@ let cold_iou_chunks ctx (image : Proc_image.t) ~sent =
 (* The pre-copy residual: everything dirtied since the last round plus
    every real page no round ever pushed — the unsent runs merged with the
    (small) dirty log, each merged run read out of the image as one shared
-   view.  Replaces the old page-list pipeline (enumerate every image
-   page, filter by a per-page membership probe, re-sort, re-coalesce)
-   whose cost and allocation were O(space) per freeze. *)
-let precopy_residual_chunks (image : Proc_image.t) ~sent ~written =
+   view, so the cost is O(runs + dirty log), not O(space). *)
+let dirty_and_unsent_chunks (image : Proc_image.t) ~sent ~written =
   let runs =
-    Sent.coalesce
+    coalesce
       (List.sort run_compare
          (List.rev_append (page_runs_of_pages written) (unsent_runs image ~sent)))
   in
@@ -244,211 +255,80 @@ let precopy_residual_chunks (image : Proc_image.t) ~sent ~written =
            content = Memory_object.Data run;
          })
 
-(* --- source side: shared push-round protocol ------------------------------ *)
-
-type push = {
-  proc : Proc.t;
-  dest : Port.id;
-  max_rounds : int;
-  threshold_pages : int;
-  out_report : Report.t;
-  out_on_complete : (Proc.t -> Report.t -> unit) option;
-  sent : Sent.t;  (** pages ever pushed; owned by the pool *)
-}
-
-let send_round_chunks ctx (state : push) ~round ~chunks ~payload =
-  let proc_id = state.proc.Proc.id in
-  emit ctx ~proc_id
-    (Mig_event.Precopy_round { round; bytes = Memory_object.data_bytes chunks });
-  Dedup.send ctx.dedup ~dest:state.dest ~proc_id ~memory:chunks
-    ~build:(fun memory ->
-      Message.make ~ids:(Host.ids ctx.host) ~dest:state.dest ~inline_bytes:64
-        ~memory ~no_ious:true ~category:Message.Bulk (payload ~round))
-
-let send_push_round ctx (state : push) ~round ~pages ~payload =
-  let proc_id = state.proc.Proc.id in
-  match vaddr_data_chunks (Proc.space_exn state.proc) pages with
-  | exception Abort reason -> abort_migration ctx ~proc_id reason
-  | chunks ->
-      List.iter (fun p -> Sent.mark_page state.sent p) pages;
-      send_round_chunks ctx state ~round ~chunks ~payload
-
-(* A pre-copy first round: push every Real range whole, as shared views,
-   and record the coverage as O(ranges) bulk runs rather than one sent
-   mark per page. *)
-let send_push_all ctx (state : push) ~round ~payload =
-  let proc_id = state.proc.Proc.id in
-  match real_range_chunks (Proc.space_exn state.proc) with
-  | exception Abort reason -> abort_migration ctx ~proc_id reason
-  | chunks ->
-      List.iter
-        (fun c ->
-          Sent.mark_run state.sent
-            ~first:(Page.index_of_addr c.Memory_object.range.Vaddr.lo)
-            ~last:(Page.index_of_addr (c.Memory_object.range.Vaddr.hi - 1)))
-        chunks;
-      send_round_chunks ctx state ~round ~chunks ~payload
-
-let handle_push_ack ctx outbound ~proc_id ~round ~stray ~freeze ~payload =
-  match Hashtbl.find_opt outbound proc_id with
-  | None -> Logs.warn (fun m -> m "MigrationManager: stray %s ack" stray)
-  | Some state ->
-      let dirty = Hashtbl.length state.proc.Proc.written_log in
-      if round >= state.max_rounds || dirty <= state.threshold_pages then
-        freeze state
-      else
-        send_push_round ctx state ~round:(round + 1)
-          ~pages:(Proc.drain_written_log state.proc)
-          ~payload
-
-(* Freeze, capture the process image, derive the final message from it,
-   dissolve the source incarnation, ship.  [residual_and_extra] computes
-   the Data chunks the final message physically carries plus any engine
-   extras (the hybrid cold tail) — reading the image, never the dying
-   space — and may raise {!Transfer_engine.Abort}, which aborts this one
-   migration with the process intact. *)
-let freeze_and_ship ctx outbound pool (state : push) ~residual_and_extra
-    ~final_payload =
-  let proc_id = state.proc.Proc.id in
-  freeze_until_quiescent ctx state.proc ~k:(fun () ->
-      let written = Proc.drain_written_log state.proc in
-      let excised = Excise.capture ctx.host state.proc in
-      let image = excised.Excise.image in
-      match residual_and_extra image ~sent:state.sent ~written with
-      | exception Abort reason -> abort_migration ctx ~proc_id reason
-      | residual_chunks, extra_chunks ->
-          emit ctx ~proc_id
-            (Mig_event.Frozen
-               { residual_bytes = Memory_object.data_bytes residual_chunks });
-          Hashtbl.remove outbound proc_id;
-          Sent_pool.give pool state.sent;
-          Excise.dissolve ctx.host state.proc excised ~k:(fun excised ->
-              emit ctx ~proc_id (Mig_event.Excised excised.Excise.timings);
-              let memory =
-                List.sort
-                  (fun a b ->
-                    Int.compare a.Memory_object.range.Vaddr.lo
-                      b.Memory_object.range.Vaddr.lo)
-                  (residual_chunks @ extra_chunks @ iou_chunks_of_image image)
+(* The zero-round RIMAS split (resident-set, working-set): the kept pages
+   stay Data and every other page of each excised Data chunk is banked on
+   the manager's backing server, travelling as IOUs.  The kept pages become
+   sorted collapsed-offset runs, and each Data chunk is cut at their
+   boundaries: a kept piece is a shared view of the chunk, a banked piece
+   one adopted extent, so the cost follows the kept pages and the pieces,
+   however many pages the chunks span.  A segment is allocated even when
+   nothing ends up banked: segment ids come from the host's one id
+   stream, which the paper's printed figures are pinned to. *)
+let split_rimas backing (excised : Excise.excised) ~keep =
+  let segment_id = Backing_server.new_segment backing in
+  let backing_port = Backing_server.port backing in
+  let kept =
+    keep
+    |> List.filter_map (fun page ->
+           Option.map Page.index_of_addr
+             (Context.collapsed_of_vaddr excised.Excise.layout
+                (Page.addr_of_index page)))
+    |> page_runs_of_pages |> Array.of_list
+  in
+  List.concat_map
+    (fun chunk ->
+      match chunk.Memory_object.content with
+      | Memory_object.Iou _ | Memory_object.Digest_refs _ -> [ chunk ]
+      | Memory_object.Data run ->
+          let range = chunk.Memory_object.range in
+          let first = Page.index_of_addr range.Vaddr.lo in
+          List.map
+            (fun (inside, a, b) ->
+              let lo = Page.addr_of_index a
+              and hi = Page.addr_of_index b + Page.size in
+              let piece = Page_run.sub run ~pos:(a - first) ~len:(b - a + 1) in
+              let content =
+                if inside then Memory_object.Data piece
+                else begin
+                  Backing_server.put_extent backing ~segment_id ~offset:lo
+                    piece;
+                  Memory_object.Iou { segment_id; backing_port; offset = lo }
+                end
               in
-              Memory_object.validate memory;
-              Dedup.send ctx.dedup ~dest:state.dest ~proc_id ~memory
-                ~build:(fun memory ->
-                  Message.make ~ids:(Host.ids ctx.host) ~dest:state.dest
-                    ~inline_bytes:
-                      (Context.core_wire_bytes (Host.costs ctx.host)
-                         excised.Excise.core)
-                    ~rights:excised.Excise.core.Context.port_rights ~memory
-                    ~no_ious:true ~category:Message.Bulk
-                    (final_payload ~core:excised.Excise.core))))
+              { Memory_object.range = Vaddr.range lo hi; content })
+            (cut kept ~first ~last:(Page.index_of_addr (range.Vaddr.hi - 1))))
+    excised.Excise.rimas
 
 (* --- destination side: staging ------------------------------------------- *)
 
-let staged_store staged proc_id =
-  match Hashtbl.find_opt staged proc_id with
-  | Some store -> store
-  | None ->
-      let store = Segment_store.create () in
-      Hashtbl.replace staged proc_id store;
-      store
+type staged = (int * Page_run.t) Interval_map.t
 
-let stage_chunks store ~proc_id memory =
-  List.iter
-    (fun chunk ->
+(* Intervals never coalesce: each carries its own chunk's start. *)
+let no_staged : staged = Interval_map.empty ~equal:(fun _ _ -> false) ()
+
+let stage_chunks staged memory =
+  List.fold_left
+    (fun staged chunk ->
+      let range = chunk.Memory_object.range in
       match chunk.Memory_object.content with
       | Memory_object.Data run ->
-          let lo = chunk.Memory_object.range.Vaddr.lo in
-          Page_run.iteri
-            (fun i value ->
-              Segment_store.put_page store ~segment_id:proc_id
-                ~offset:(lo + (i * Page.size))
-                value)
-            run
+          Interval_map.set staged ~lo:range.Vaddr.lo ~hi:range.Vaddr.hi
+            (range.Vaddr.lo, run)
       (* digest chunks are resolved to Data before staging; none should
          survive to here, and an unresolved one carries no bytes to stage *)
-      | Memory_object.Iou _ | Memory_object.Digest_refs _ -> ())
-    memory
-
-let handle_staged_pages ctx staged ~proc_id ~round ~src_port ~memory
-    ~ack_payload =
-  match Dedup.resolve ctx.dedup ~proc_id memory with
-  | exception Dedup.Unresolvable reason -> abort_migration ctx ~proc_id reason
-  | memory ->
-      let store = staged_store staged proc_id in
-      stage_chunks store ~proc_id memory;
-      Kernel_ipc.send (Host.kernel ctx.host)
-        (Message.make ~ids:(Host.ids ctx.host) ~dest:src_port ~inline_bytes:32
-           (ack_payload ~proc_id ~round))
+      | Memory_object.Iou _ | Memory_object.Digest_refs _ -> staged)
+    staged memory
 
 (* --- destination side: RIMAS assembly ------------------------------------- *)
 
-(* Strict assembly (pre-copy): every Real_mem page must have been staged
-   by some round or the residual; Imag_mem ranges are covered whole by the
-   final message's IOU chunks. *)
-let assemble_strict store ~proc_id ~amap ~iou_chunks =
-  let cursor = ref 0 and rev_chunks = ref [] in
-  List.iter
-    (fun (lo, hi, cls) ->
-      match (cls : Accessibility.t) with
-      | Real_zero_mem | Bad_mem -> ()
-      | Real_mem ->
-          let len = hi - lo in
-          let first = Page.index_of_addr lo
-          and last = Page.index_of_addr (hi - 1) in
-          let run =
-            Page_run.init (last - first + 1) (fun i ->
-                match
-                  Segment_store.get_page store ~segment_id:proc_id
-                    ~offset:(Page.addr_of_index (first + i))
-                with
-                | Some value -> value
-                | None ->
-                    raise (Abort "pre-copy: staged page missing at insertion"))
-          in
-          rev_chunks :=
-            {
-              Memory_object.range = Vaddr.range !cursor (!cursor + len);
-              content = Memory_object.Data run;
-            }
-            :: !rev_chunks;
-          cursor := !cursor + len
-      | Imag_mem ->
-          let len = hi - lo in
-          let iou =
-            match
-              List.find_opt
-                (fun c ->
-                  c.Memory_object.range.Vaddr.lo <= lo
-                  && hi <= c.Memory_object.range.Vaddr.hi)
-                iou_chunks
-            with
-            | Some c -> c
-            | None -> raise (Abort "pre-copy: imaginary range without an IOU")
-          in
-          (match iou.Memory_object.content with
-          | Memory_object.Iou { segment_id; backing_port; offset } ->
-              rev_chunks :=
-                {
-                  Memory_object.range = Vaddr.range !cursor (!cursor + len);
-                  content =
-                    Memory_object.Iou
-                      {
-                        segment_id;
-                        backing_port;
-                        offset = offset + lo - iou.Memory_object.range.Vaddr.lo;
-                      };
-                }
-                :: !rev_chunks
-          | Memory_object.Data _ | Memory_object.Digest_refs _ ->
-              assert false);
-          cursor := !cursor + len)
-    (Amap.ranges amap);
-  List.rev !rev_chunks
-
-(* Lazy assembly (hybrid): staged pages become Data runs, everything else
-   must be covered by an IOU chunk of the final message — the cold tail or
-   a pre-existing imaginary region. *)
-let assemble_lazy store ~proc_id ~amap ~iou_chunks =
+(* The one assembler: staged runs become Data chunks, everything else
+   must be covered by an IOU chunk of the final message — a cold tail or
+   a pre-existing imaginary region.  Only the staged intervals and the
+   gaps between them are visited, never every page of a range, so the
+   walk costs O(staged chunks), not O(space); only the staged pages
+   themselves are ever copied.  When every real page is staged (a
+   pre-copy) each Real range comes out as one Data chunk. *)
+let assemble_lazy staged ~amap ~iou_chunks =
   let cursor = ref 0 and rev_chunks = ref [] in
   let emit_chunk len content =
     rev_chunks :=
@@ -469,7 +349,7 @@ let assemble_lazy store ~proc_id ~amap ~iou_chunks =
             iou_chunks
         with
         | Some c -> c
-        | None -> raise (Abort "hybrid: page neither staged nor IOU-backed")
+        | None -> raise (Abort "page neither staged nor IOU-backed")
       in
       let piece_hi = min hi chunk.Memory_object.range.Vaddr.hi in
       (match chunk.Memory_object.content with
@@ -484,99 +364,46 @@ let assemble_lazy store ~proc_id ~amap ~iou_chunks =
       | Memory_object.Data _ | Memory_object.Digest_refs _ -> assert false);
       emit_iou_cover ~lo:piece_hi ~hi)
   in
-  let staged_offsets = Segment_store.offsets store ~segment_id:proc_id in
   List.iter
     (fun (lo, hi, cls) ->
       match (cls : Accessibility.t) with
       | Real_zero_mem | Bad_mem -> ()
       | Real_mem | Imag_mem ->
-          (* walk only the staged page indices inside the range and the
-             gaps between them — staged runs become Data chunks, gaps are
-             covered from the IOUs (an Imag_mem range simply has no staged
-             pages).  Probing every page of the range instead would make
-             assembly O(space) per migration. *)
-          let first = Page.index_of_addr lo
-          and last = Page.index_of_addr (hi - 1) in
-          let staged_idx =
-            List.filter_map
-              (fun off ->
-                let idx = Page.index_of_addr off in
-                if first <= idx && idx <= last then Some idx else None)
-              staged_offsets
+          (* adjacent staged intervals join one Data chunk *)
+          let pos = ref lo and parts = ref [] in
+          let flush () =
+            match !parts with
+            | [] -> ()
+            | rev_parts ->
+                let run =
+                  match rev_parts with
+                  | [ part ] -> part
+                  | _ ->
+                      (* dirty rounds cut the staged chunks into many
+                         small views, and the inserted process reads its
+                         pages through them: one fresh array keeps every
+                         later read O(1) *)
+                      Page_run.of_array
+                        (Page_run.to_array
+                           (Page_run.concat (List.rev rev_parts)))
+                in
+                emit_chunk (Page_run.length run * Page.size)
+                  (Memory_object.Data run);
+                parts := []
           in
-          let emit_data run_lo run_hi =
-            let run =
-              Page_run.init
-                (run_hi - run_lo + 1)
-                (fun i ->
-                  match
-                    Segment_store.get_page store ~segment_id:proc_id
-                      ~offset:(Page.addr_of_index (run_lo + i))
-                  with
-                  | Some value -> value
-                  | None -> assert false)
-            in
-            emit_chunk ((run_hi - run_lo + 1) * Page.size)
-              (Memory_object.Data run)
-          in
-          let rec run_end e rest =
-            match rest with
-            | n :: tail when n = e + 1 -> run_end n tail
-            | _ -> (e, rest)
-          in
-          let rec walk pos staged =
-            match staged with
-            | [] ->
-                if pos <= last then
-                  emit_iou_cover
-                    ~lo:(Page.addr_of_index pos)
-                    ~hi:(Page.addr_of_index last + Page.size)
-            | s :: tail ->
-                if s > pos then begin
-                  emit_iou_cover
-                    ~lo:(Page.addr_of_index pos)
-                    ~hi:(Page.addr_of_index s);
-                  walk s staged
-                end
-                else begin
-                  let e, rest = run_end s tail in
-                  emit_data s e;
-                  walk (e + 1) rest
-                end
-          in
-          walk first staged_idx)
+          Interval_map.iter_range staged ~lo ~hi ~f:(fun a b (chunk_lo, run) ->
+              if a > !pos then begin
+                flush ();
+                emit_iou_cover ~lo:!pos ~hi:a;
+                pos := a
+              end;
+              parts :=
+                Page_run.sub run
+                  ~pos:((a - chunk_lo) / Page.size)
+                  ~len:((b - a) / Page.size)
+                :: !parts;
+              pos := b);
+          flush ();
+          emit_iou_cover ~lo:!pos ~hi)
     (Amap.ranges amap);
   List.rev !rev_chunks
-
-let handle_final ctx staged ~core ~report ~on_complete ~memory ~assemble =
-  ctx.note_received ();
-  let proc_id = core.Context.proc_id in
-  emit ctx ~proc_id Mig_event.Core_delivered;
-  (* the residual dirty pages are the RIMAS data this final message
-     physically carries; the staged rounds were accounted per round *)
-  emit ctx ~proc_id
-    (Mig_event.Rimas_delivered { data_bytes = Memory_object.data_bytes memory });
-  match Dedup.resolve ctx.dedup ~proc_id memory with
-  | exception Dedup.Unresolvable reason ->
-      Hashtbl.remove staged proc_id;
-      abort_migration ctx ~proc_id reason
-  | memory -> (
-      let store = staged_store staged proc_id in
-      stage_chunks store ~proc_id memory;
-      let iou_chunks =
-        List.filter
-          (fun c ->
-            match c.Memory_object.content with
-            | Memory_object.Iou _ -> true
-            | Memory_object.Data _ | Memory_object.Digest_refs _ -> false)
-          memory
-      in
-      match assemble store ~proc_id ~amap:core.Context.amap ~iou_chunks with
-      | exception Abort reason ->
-          Hashtbl.remove staged proc_id;
-          abort_migration ctx ~proc_id reason
-      | rimas ->
-          Hashtbl.remove staged proc_id;
-          ctx.insert
-            { core; rimas; prefetch = 0; report; on_complete; on_restart = None })
-

@@ -1,20 +1,30 @@
-(** Wire-message assembly from first-class process images.
+(** The run algebra and chunk builders behind {!Transfer}'s wire messages.
 
-    The push engines ({!Engine_precopy}, {!Engine_hybrid}) share a wire
-    shape: rounds of vaddr-coordinate Data chunks pushed while the process
-    runs, then a freeze that captures a {!Accent_kernel.Proc_image.t},
-    derives the final message {e from the image} — residual Data, any cold
-    tail, IOUs for pre-existing imaginary regions — and dissolves the
-    source incarnation.  The destination stages round pages in a segment
-    store and assembles the insertion RIMAS either strictly (pre-copy:
-    every real page must be staged) or lazily (hybrid: unstaged runs are
-    covered by the final message's IOUs).
+    Every page set a plan names — pushed, unsent, dirty, kept, cold — is
+    handled as sorted closed page runs, and every chunk carries its values
+    as a shared {!Accent_mem.Page_run.t} view of the live space or the
+    captured {!Accent_kernel.Proc_image.t}.  Nothing here walks the pages of
+    an address space one by one, so a migration's cost follows the pages
+    it moves, not the size of the space:
 
-    Everything here is that shared machinery; the engines keep only their
-    payload constructors, round policy and table plumbing. *)
+    - push rounds read the live space ({!vaddr_data_chunks},
+      {!real_range_chunks}) and record coverage in a {!Sent} set;
+    - a freeze derives the final message from the image by run
+      subtraction ({!unsent_runs}, {!dirty_and_unsent_chunks},
+      {!cold_iou_chunks}, {!iou_chunks_of_image});
+    - a zero-round resident-set or working-set RIMAS is the excised RIMAS
+      cut at the kept pages' runs ({!split_rimas});
+    - the destination stages round pages ({!stage_chunks}) and assembles
+      the insertion RIMAS ({!assemble_lazy}). *)
 
 open Accent_mem
 open Accent_kernel
+
+exception Abort of string
+(** A migration cannot proceed: a page value vanished mid-round, or a
+    real page is neither staged nor IOU-backed at insertion.  {!Transfer}
+    catches it at its protocol boundaries and aborts that one
+    migration. *)
 
 (** A migration's sent set: which pages some round has already pushed.
     Bulk pushes record closed page runs in O(1) ({!Sent.mark_run}); dirty-
@@ -54,8 +64,8 @@ val data_chunks :
   Page.index list ->
   Accent_ipc.Memory_object.t
 (** Coalesce the pages (sorted and deduplicated here) into consecutive
-    runs and read each value through [lookup]; a [None] raises
-    {!Transfer_engine.Abort} with [missing]. *)
+    runs and read each value through [lookup]; a [None] raises {!Abort}
+    with [missing]. *)
 
 val vaddr_data_chunks :
   Address_space.t -> Page.index list -> Accent_ipc.Memory_object.t
@@ -74,8 +84,8 @@ val real_range_chunks : Address_space.t -> Accent_ipc.Memory_object.t
 val unsent_runs :
   Proc_image.t -> sent:Sent.t -> (Page.index * Page.index) list
 (** Closed page runs of the image's real memory that no round ever
-    pushed, ascending — the run subtraction at the heart of the hybrid
-    cold tail and the pre-copy residual.  O(real ranges + sent marks log
+    pushed, ascending — the run subtraction at the heart of the cold tail
+    and the dirty+unsent Data set.  O(real ranges + sent marks log
     sent marks), independent of the address-space page count. *)
 
 (** {2 IOU chunks} *)
@@ -86,152 +96,55 @@ val iou_chunks_of_image : Proc_image.t -> Accent_ipc.Memory_object.t
     must carry. *)
 
 val cold_iou_chunks :
-  Transfer_engine.ctx ->
-  Proc_image.t ->
-  sent:Sent.t ->
-  Accent_ipc.Memory_object.t
-(** Bank every real run the rounds never pushed on the manager's backing
-    server (one adopted extent per run) and return IOU chunks for the
-    destination to pull on reference — the hybrid cold tail.
+  Backing_server.t -> Proc_image.t -> sent:Sent.t -> Accent_ipc.Memory_object.t
+(** Bank every real run the rounds never pushed on the backing server
+    (one adopted extent per run) and return IOU chunks for the
+    destination to pull on reference — the cold tail.
     O({!unsent_runs}), never O(pages). *)
 
-val precopy_residual_chunks :
+val dirty_and_unsent_chunks :
   Proc_image.t ->
   sent:Sent.t ->
   written:Page.index list ->
   Accent_ipc.Memory_object.t
-(** The pre-copy residual: the dirty log merged with {!unsent_runs}, each
-    maximal run read out of the image as one shared view.  Chunk
+(** The dirty+unsent Data set: the dirty log merged with {!unsent_runs},
+    each maximal run read out of the image as one shared view.  Chunk
     boundaries are identical to coalescing the equivalent page list. *)
 
-(** {2 Source side: the shared push protocol} *)
-
-type push = {
-  proc : Proc.t;
-  dest : Accent_ipc.Port.id;
-  max_rounds : int;
-  threshold_pages : int;
-  out_report : Report.t;
-  out_on_complete : (Proc.t -> Report.t -> unit) option;
-  sent : Sent.t;  (** pages ever pushed; owned by the pool *)
-}
-
-val send_push_round :
-  Transfer_engine.ctx ->
-  push ->
-  round:int ->
-  pages:Page.index list ->
-  payload:(round:int -> Accent_ipc.Message.payload) ->
-  unit
-(** Read the pages from the live space, account the round, and send one
-    round message.  On {!Transfer_engine.Abort} the migration is aborted;
-    the engine's bus subscriber is expected to clear its outbound entry
-    (and return the sent set) on the resulting [Engine_abort] event. *)
-
-val send_push_all :
-  Transfer_engine.ctx ->
-  push ->
-  round:int ->
-  payload:(round:int -> Accent_ipc.Message.payload) ->
-  unit
-(** {!send_push_round} shipping every Real range whole
-    ({!real_range_chunks}), with coverage recorded as O(ranges) bulk sent
-    runs — the pre-copy first round. *)
-
-val handle_push_ack :
-  Transfer_engine.ctx ->
-  (int, push) Hashtbl.t ->
-  proc_id:int ->
-  round:int ->
-  stray:string ->
-  freeze:(push -> unit) ->
-  payload:(round:int -> Accent_ipc.Message.payload) ->
-  unit
-(** The round-pacing decision: freeze when the round budget is spent or
-    the dirty log is small enough, else push the drained dirty log as the
-    next round. *)
-
-val freeze_and_ship :
-  Transfer_engine.ctx ->
-  (int, push) Hashtbl.t ->
-  Sent_pool.t ->
-  push ->
-  residual_and_extra:
-    (Proc_image.t ->
-    sent:Sent.t ->
-    written:Page.index list ->
-    Accent_ipc.Memory_object.t * Accent_ipc.Memory_object.t) ->
-  final_payload:(core:Context.core -> Accent_ipc.Message.payload) ->
-  unit
-(** Freeze until quiescent, drain the dirty log, {!Excise.capture} the
-    process image, compute the final message's Data chunks (and engine
-    extras) from the image via [residual_and_extra], emit [Frozen],
-    dissolve the source incarnation, and ship Core + residual + IOUs in
-    one final message once the trap's cost has elapsed.  An [Abort] from
-    [residual_and_extra] aborts this one migration with the process
-    intact. *)
+val split_rimas :
+  Backing_server.t ->
+  Excise.excised ->
+  keep:Page.index list ->
+  Accent_ipc.Memory_object.t
+(** The excised RIMAS with every Data page not in [keep] banked on the
+    backing server and replaced by IOUs; collapsed coordinates
+    throughout.  Each Data chunk is cut at the kept pages' collapsed
+    runs: one Data chunk (a shared view) per maximal kept run and one IOU
+    chunk (one adopted extent) per maximal run between them, inside each
+    excised chunk.  The cost follows the kept pages and the pieces, never
+    the pages the chunks span. *)
 
 (** {2 Destination side: staging and assembly} *)
 
-val staged_store :
-  (int, Accent_ipc.Segment_store.t) Hashtbl.t ->
-  int ->
-  Accent_ipc.Segment_store.t
-(** Find-or-create the per-process staging store. *)
+type staged
+(** A migration's staged pages, by virtual address: the Data chunks of
+    its rounds and final message, a later chunk overwriting an earlier
+    one where they overlap.  Staging keeps each chunk's run whole, so it
+    costs O(log chunks) per chunk, never O(pages). *)
 
-val stage_chunks :
-  Accent_ipc.Segment_store.t ->
-  proc_id:int ->
-  Accent_ipc.Memory_object.t ->
-  unit
-(** File every Data chunk's pages into the store, keyed by virtual
-    address; IOU chunks are left alone. *)
+val no_staged : staged
 
-val handle_staged_pages :
-  Transfer_engine.ctx ->
-  (int, Accent_ipc.Segment_store.t) Hashtbl.t ->
-  proc_id:int ->
-  round:int ->
-  src_port:Accent_ipc.Port.id ->
-  memory:Accent_ipc.Memory_object.t ->
-  ack_payload:(proc_id:int -> round:int -> Accent_ipc.Message.payload) ->
-  unit
-(** Resolve digests, stage the round's pages, acknowledge. *)
-
-val assemble_strict :
-  Accent_ipc.Segment_store.t ->
-  proc_id:int ->
-  amap:Accent_mem.Amap.t ->
-  iou_chunks:Accent_ipc.Memory_object.t ->
-  Accent_ipc.Memory_object.t
-(** Pre-copy assembly: every [Real_mem] page must be staged (missing ones
-    raise [Abort]); [Imag_mem] ranges are covered whole from
-    [iou_chunks]. *)
+val stage_chunks : staged -> Accent_ipc.Memory_object.t -> staged
+(** Stage every Data chunk; IOU chunks are left alone. *)
 
 val assemble_lazy :
-  Accent_ipc.Segment_store.t ->
-  proc_id:int ->
+  staged ->
   amap:Accent_mem.Amap.t ->
   iou_chunks:Accent_ipc.Memory_object.t ->
   Accent_ipc.Memory_object.t
-(** Hybrid assembly: staged runs become Data chunks, every gap must be
-    covered by an IOU chunk (splitting on chunk boundaries). *)
-
-val handle_final :
-  Transfer_engine.ctx ->
-  (int, Accent_ipc.Segment_store.t) Hashtbl.t ->
-  core:Context.core ->
-  report:Report.t ->
-  on_complete:(Proc.t -> Report.t -> unit) option ->
-  memory:Accent_ipc.Memory_object.t ->
-  assemble:
-    (Accent_ipc.Segment_store.t ->
-    proc_id:int ->
-    amap:Accent_mem.Amap.t ->
-    iou_chunks:Accent_ipc.Memory_object.t ->
-    Accent_ipc.Memory_object.t) ->
-  unit
-(** The final-message handler: account Core and RIMAS delivery, resolve
-    digests, stage the residual, assemble the insertion RIMAS with
-    [assemble], and hand it to the manager; any failure aborts the
-    migration and clears its staged pages. *)
+(** The insertion RIMAS, in collapsed coordinates: maximal staged runs
+    become Data chunks (a run one staged chunk covers is a view of it,
+    any other run one fresh array), every gap must be covered by an IOU
+    chunk (splitting on chunk boundaries), else {!Abort}.  With every
+    real page staged, each Real range is one Data chunk.  The walk is
+    O(staged chunks + AMap ranges); only staged pages are copied. *)

@@ -1,17 +1,13 @@
 (** The MigrationManager (paper §3.2).
 
     One runs on every participating host.  The manager itself is a thin
-    coordinator: it binds the command port, dispatches inbound messages to
-    the {!Transfer_engine.t} that claims them, and owns the
-    insert/restart lifecycle at the destination.  The transfer mechanics
-    live in the engines:
-
-    - {!Engine_copy} — pure-copy, and the shared two-message context
-      protocol (Core + RIMAS);
-    - {!Engine_iou} — pure-IOU, resident-set, working-set RIMAS
-      preparation;
-    - {!Engine_precopy} — Theimer-style pre-copy rounds;
-    - {!Engine_hybrid} — working-set push rounds with an IOU cold tail.
+    coordinator: it binds the command port, hands inbound messages to
+    the {!Transfer} engine and the {!Dedup} negotiator, maps transport
+    give-ups to migrations, and owns the insert/restart lifecycle at the
+    destination.  Every strategy's transfer mechanics — the two-message
+    Core/RIMAS protocol of the zero-round plans, and the push rounds of
+    pre-copy and hybrid — live in {!Transfer}, driven by a plan derived
+    from the {!Strategy.t}.
 
     Every phase of every migration is published as a {!Mig_event.t} on the
     manager's bus; the per-migration {!Report.t} is maintained as a fold
@@ -47,13 +43,16 @@ val migrate :
 (** Start a migration of [proc] to the manager listening on [dest].  The
     returned report is stamped as phases complete; [on_restart] fires at
     the destination just before the reincarnated process resumes (e.g. to
-    attach an {!Adaptive_prefetch} controller); [on_complete] fires when
-    the relocated process finishes its remote execution. *)
+    attach an {!Adaptive_prefetch} controller), under every strategy;
+    [on_complete] fires when the relocated process finishes its remote
+    execution. *)
 
 val migrations_started : t -> int
 val migrations_received : t -> int
 
 val engine_stats : t -> (string * (string * int) list) list
-(** Each engine's name with its live bookkeeping counters
-    ({!Transfer_engine.t.debug_stats}) — e.g. pre-copy's in-flight round
-    state and staged-page stores.  For tests and leak diagnostics. *)
+(** The live bookkeeping counters of ["transfer"] ({!Transfer.debug_stats}:
+    half-arrived Core/RIMAS pairs, in-flight push rounds, staged-page
+    stores) and ["dedup"] ({!Dedup.debug_stats}).  All zero once every
+    migration has finished or been abandoned.  For tests and leak
+    diagnostics. *)

@@ -89,23 +89,6 @@ let read_run t ~segment_id ~offset ~pages =
 
 let has_segment t ~segment_id = Hashtbl.mem t segment_id
 
-let offsets t ~segment_id =
-  match Hashtbl.find_opt t segment_id with
-  | None -> []
-  | Some seg ->
-      let acc = Hashtbl.fold (fun off _ acc -> off :: acc) seg.pages [] in
-      let acc =
-        List.fold_left
-          (fun acc (lo, vs) ->
-            let rec add i acc =
-              if i >= Page_run.length vs then acc
-              else add (i + 1) ((lo + (i * Page.size)) :: acc)
-            in
-            add 0 acc)
-          acc seg.extents
-      in
-      List.sort_uniq Int.compare acc
-
 (* Overlay pages that shadow an extent slot must not be double-counted. *)
 let segment_pages t ~segment_id =
   match Hashtbl.find_opt t segment_id with

@@ -41,11 +41,6 @@ val read_run : t -> segment_id:int -> offset:int -> pages:int ->
 
 val has_segment : t -> segment_id:int -> bool
 
-val offsets : t -> segment_id:int -> int list
-(** All present page offsets of the segment, ascending — O(present pages),
-    so callers can walk what the store holds instead of probing every
-    offset of a range. *)
-
 val segment_pages : t -> segment_id:int -> int
 val segment_bytes : t -> segment_id:int -> int
 

@@ -116,9 +116,14 @@ let test_auto_migrator_publishes_decisions () =
           candidates := (ev.Mig_event.proc_id, proc_name, src, dst)
           :: !candidates
       | _ -> ());
+  let imbalance_threshold = 1.5 in
   let migrator =
     Auto_migrator.start world
-      { Auto_migrator.default_policy with Auto_migrator.period_ms = 1_000. }
+      {
+        Auto_migrator.default_policy with
+        Auto_migrator.period_ms = 1_000.;
+        placement = Placement_policy.threshold ~imbalance_threshold ();
+      }
   in
   ignore (World.run world);
   let triggered = Auto_migrator.migrations_triggered migrator in
@@ -130,7 +135,7 @@ let test_auto_migrator_publishes_decisions () =
   List.iter
     (fun (_, src, spread) ->
       Alcotest.(check bool) "spread above the policy threshold" true
-        (spread > Auto_migrator.default_policy.Auto_migrator.imbalance_threshold);
+        (spread > imbalance_threshold);
       Alcotest.(check bool) "overloaded host named" true (src >= 0 && src < 3))
     !thresholds;
   (* candidate events line up with the migrator's own decision log *)

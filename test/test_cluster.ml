@@ -159,50 +159,6 @@ let test_by_name () =
   Alcotest.(check bool) "garbage rejected" true
     (Placement_policy.by_name "mystery" = None)
 
-(* --- threshold parity with the classic daemon ---------------------------- *)
-
-(* The same imbalanced world run twice: the implicit balancer
-   (placement = None, built from the policy record's knobs) and the
-   explicit threshold policy must produce identical decision logs. *)
-let test_threshold_parity_with_classic_daemon () =
-  let worker name base_mb =
-    {
-      Test_helpers.small_spec with
-      Accent_workloads.Spec.name;
-      refs = 300;
-      total_think_ms = 30_000.;
-      base_addr = base_mb * 1024 * 1024;
-    }
-  in
-  let run placement =
-    let world = World.create ~n_hosts:3 () in
-    let h0 = World.host world 0 in
-    List.iter
-      (fun p -> Accent_kernel.Proc_runner.start h0 p)
-      (List.init 4 (fun i ->
-           Accent_workloads.Spec.build h0
-             (worker (Printf.sprintf "w%d" i) (1 + (8 * i)))));
-    let migrator =
-      Auto_migrator.start world
-        {
-          Auto_migrator.default_policy with
-          Auto_migrator.period_ms = 1_000.;
-          placement;
-        }
-    in
-    ignore (World.run world);
-    Auto_migrator.decisions migrator
-  in
-  let classic = run None in
-  let explicit = run (Some (Placement_policy.threshold ())) in
-  Alcotest.(check bool) "the daemon actually migrated" true
-    (List.length classic >= 1);
-  let show (at, name, src, dst) =
-    Printf.sprintf "%d:%s:%d->%d" at name src dst
-  in
-  Alcotest.(check (list string))
-    "identical decision logs" (List.map show classic) (List.map show explicit)
-
 (* --- the domain-parallel sweep vs its sequential twin --------------------- *)
 
 let tiny_churn =
@@ -376,8 +332,6 @@ let suite =
       Alcotest.test_case "random: deterministic" `Quick
         test_random_deterministic;
       Alcotest.test_case "by_name" `Quick test_by_name;
-      Alcotest.test_case "threshold parity with classic daemon" `Quick
-        test_threshold_parity_with_classic_daemon;
       Alcotest.test_case "churn: counts" `Quick test_churn_counts;
       Alcotest.test_case "churn: static quiet" `Quick
         test_churn_static_is_quiet;

@@ -39,13 +39,13 @@ let test_unknown_payload_with_memory () =
   ignore (World.run world);
   Alcotest.(check pass) "unknown payload with memory did not raise" () ()
 
-(* A stray pre-copy ack names a proc the manager is not migrating; a stray
+(* A stray push-round ack names a proc the manager is not migrating; a stray
    RIMAS half-populates the reassembly table.  Neither may raise, and
    neither may leave the manager unable to serve a real migration. *)
 let test_malformed_then_real_migration () =
   let world = World.create ~n_hosts:2 () in
-  send_to_manager world (Engine_precopy.Mig_precopy_ack { proc_id = 424242; round = 1 });
-  send_to_manager world (Engine_copy.Mig_rimas { proc_id = 424242; report = Report.create ~proc_name:"ghost" ~strategy:Strategy.pure_copy });
+  send_to_manager world (Transfer.Mig_ack { proc_id = 424242; round = 1 });
+  send_to_manager world (Transfer.Mig_rimas { proc_id = 424242 });
   ignore (World.run world);
   let proc =
     Accent_workloads.Spec.build (World.host world 0) Test_helpers.small_spec
@@ -127,6 +127,43 @@ let replay_matches ?costs strategy () =
   | Some folded ->
       check_equivalent ~live:result.Accent_experiments.Trial.report ~folded
 
+(* [?on_restart] fires exactly once at the destination under every
+   strategy, after the strategy's prefetch is installed on the
+   reincarnated process. *)
+let on_restart_fires_once strategy () =
+  let strategy = { strategy with Strategy.prefetch = 2 } in
+  let world = World.create ~n_hosts:2 () in
+  let h0 = World.host world 0 in
+  let proc = Accent_workloads.Spec.build h0 Test_helpers.small_spec in
+  let prefetch_at_restart = ref [] in
+  let report =
+    Migration_manager.migrate (World.manager world 0) ~proc
+      ~dest:(Migration_manager.port (World.manager world 1))
+      ~strategy
+      ~on_restart:(fun p ->
+        prefetch_at_restart := p.Proc.prefetch :: !prefetch_at_restart)
+      ()
+  in
+  (match strategy.Strategy.transfer with
+  | Strategy.Working_set _ | Strategy.Pre_copy _ | Strategy.Hybrid _ ->
+      Proc_runner.start h0 proc
+  | Strategy.Pure_copy | Strategy.Pure_iou | Strategy.Resident_set -> ());
+  ignore (World.run world);
+  Alcotest.(check bool) "completed" true (report.Report.completed_at <> None);
+  Alcotest.(check (list int))
+    "on_restart fired once, with the strategy's prefetch" [ 2 ]
+    !prefetch_at_restart
+
+let all_strategies =
+  [
+    Strategy.pure_copy;
+    Strategy.pure_iou ();
+    Strategy.resident_set ();
+    Strategy.working_set ();
+    Strategy.pre_copy ();
+    Strategy.hybrid ();
+  ]
+
 let suite =
   ( "migration_events",
     [
@@ -151,4 +188,12 @@ let suite =
         (replay_matches ~costs:Test_helpers.dedup_costs Strategy.pure_copy);
       Alcotest.test_case "replay = live report (hybrid, dedup)" `Quick
         (replay_matches ~costs:Test_helpers.dedup_costs (Strategy.hybrid ()));
-    ] )
+    ]
+    @ List.map
+        (fun strategy ->
+          Alcotest.test_case
+            (Printf.sprintf "on_restart fires once (%s)"
+               (Strategy.transfer_name strategy.Strategy.transfer))
+            `Quick
+            (on_restart_fires_once strategy))
+        all_strategies )

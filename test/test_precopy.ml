@@ -153,45 +153,59 @@ let test_final_reports_residual_bytes () =
     "Rimas_delivered carries the residual's actual bytes" true
     (List.exists (fun b -> b > 0) residual_bytes)
 
-(* A transport give-up must clear the destination's staged pages (and the
-   source's round state) — before the fix, entries were only removed on
-   Mig_precopy_final and an abandoned migration leaked them forever. *)
-let test_giveup_clears_staged () =
+(* A transport give-up must clear every table entry an abandoned
+   migration left behind, on both wire shapes: a half-arrived Core/RIMAS
+   pair at the destination, or a push round staged at the destination
+   with its round state at the source.  Before the fix, staged pages were
+   only removed on the final message and an abandoned migration leaked
+   them forever.  The world is stepped 1 ms at a time until the named
+   table holds the migration, then the give-up is published. *)
+let test_giveup_clears_tables ~strategy ~table () =
   let world = World.create ~n_hosts:2 () in
   let host0 = World.host world 0 in
-  let manager1 = World.manager world 1 in
-  Accent_ipc.Kernel_ipc.send (Host.kernel host0)
-    (Accent_ipc.Message.make ~ids:(Host.ids host0)
-       ~dest:(Migration_manager.port manager1)
-       ~inline_bytes:64
-       ~memory:
-         [
-           {
-             Accent_ipc.Memory_object.range = Accent_mem.Vaddr.range 0 Page.size;
-             content =
-               Accent_ipc.Memory_object.Data
-                 (Page_run.singleton Page.zero_value);
-           };
-         ]
-       (Engine_precopy.Mig_precopy_pages
-          {
-            proc_id = 777;
-            round = 1;
-            src_port = Migration_manager.port (World.manager world 0);
-          }));
-  ignore (World.run world);
-  let staged () =
-    List.assoc "staged" (List.assoc "precopy" (Migration_manager.engine_stats manager1))
+  let managers = [ World.manager world 0; World.manager world 1 ] in
+  let stats () =
+    List.concat_map
+      (fun m -> List.concat_map snd (Migration_manager.engine_stats m))
+      managers
   in
-  Alcotest.(check int) "round pages staged" 1 (staged ());
-  Mig_event.publish
-    (Migration_manager.bus manager1)
+  let count name =
+    List.fold_left (fun acc (k, n) -> if k = name then acc + n else acc) 0
+      (stats ())
+  in
+  let proc = Accent_workloads.Spec.build host0 spec in
+  Proc_runner.start host0 proc;
+  ignore
+    (Migration_manager.migrate (World.manager world 0) ~proc
+       ~dest:(Migration_manager.port (World.manager world 1))
+       ~strategy ());
+  let rec step budget =
+    if count table = 0 && budget > 0 then begin
+      ignore
+        (Accent_sim.Engine.run_until world.World.engine
+           (Accent_sim.Time.add (World.now world) (Accent_sim.Time.ms 1.)));
+      step (budget - 1)
+    end
+  in
+  step 100_000;
+  Alcotest.(check bool) (table ^ " holds the migration") true (count table > 0);
+  Mig_event.publish world.World.bus
     {
-      Mig_event.at = Accent_sim.Engine.now (Host.engine host0);
-      proc_id = 777;
+      Mig_event.at = World.now world;
+      proc_id = proc.Proc.id;
       kind = Mig_event.Transport_give_up;
     };
-  Alcotest.(check int) "give-up cleared the staged store" 0 (staged ())
+  Alcotest.(check int) "give-up cleared every table" 0
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 (stats ()))
+
+let giveup_cases =
+  [
+    ( "give-up clears half-arrived Core/RIMAS",
+      Strategy.pure_iou (),
+      "pending" );
+    ("give-up clears staged store", Strategy.pre_copy (), "staged");
+    ("give-up clears staged hybrid round", Strategy.hybrid (), "staged");
+  ]
 
 (* A crafted final message whose pages were never staged must abort that
    one migration with an Engine_abort event — before the fix the manager
@@ -210,8 +224,14 @@ let test_missing_staged_pages_abort_not_crash () =
         (Accent_ipc.Message.make ~ids:(Host.ids host0)
            ~dest:(Migration_manager.port (World.manager world 1))
            ~inline_bytes:128
-           (Engine_precopy.Mig_precopy_final
-              { core = excised.Excise.core; report; on_complete = None })));
+           (Transfer.Mig_final
+              {
+                core = excised.Excise.core;
+                prefetch = 0;
+                report;
+                on_complete = None;
+                on_restart = None;
+              })));
   ignore (World.run world);
   Alcotest.(check bool) "aborted, not crashed" true
     (report.Report.outcome = Report.Aborted)
@@ -243,8 +263,11 @@ let suite =
       Alcotest.test_case "write log" `Quick test_writes_tracked_in_log;
       Alcotest.test_case "final reports residual bytes" `Quick
         test_final_reports_residual_bytes;
-      Alcotest.test_case "give-up clears staged store" `Quick
-        test_giveup_clears_staged;
       Alcotest.test_case "missing staged pages abort, not crash" `Quick
         test_missing_staged_pages_abort_not_crash;
-    ] )
+    ]
+    @ List.map
+        (fun (name, strategy, table) ->
+          Alcotest.test_case name `Quick
+            (test_giveup_clears_tables ~strategy ~table))
+        giveup_cases )

@@ -336,7 +336,7 @@ let prop_precopy_residual_equiv =
         Image_wire.image_data_chunks image ~missing:"prop"
           (written @ unsent_pages)
       in
-      let got = Image_wire.precopy_residual_chunks image ~sent ~written in
+      let got = Image_wire.dirty_and_unsent_chunks image ~sent ~written in
       List.length got = List.length expected
       && List.for_all2 chunk_equal got expected)
 
