@@ -3,11 +3,11 @@
    a regression cannot hide inside whole-trial noise.
 
      eviction storm    Phys_mem.allocate against a full pool — every
-                       allocation evicts.  The claim under test: cost
-                       per eviction is O(log frames) — heap depth plus
-                       a cache-miss term on the entry array (the old
-                       linear victim scan was O(frames); see
-                       docs/ARCHITECTURE.md §6 for the measured curve).
+                       allocation evicts.  The claim under test: victim
+                       selection is O(1) amortised (the head of the
+                       recency queue), leaving only a cache-miss term
+                       that grows with the pool; see
+                       docs/ARCHITECTURE.md §6 for the measured curve.
      working-set churn Working_set queries against a long-lived
                        process — cost per query is flat in lifetime
                        footprint (the old fold was O(every page ever
@@ -36,7 +36,7 @@ type evict_row = { pool : int; ops : int; ev_wall_s : float; ns_per_op : float }
 (* Fill the pool, then allocate [ops] more pages: each allocation must
    evict the LRU frame.  Once the pool is full the live frame-id set
    is stable (the victim's id is immediately reused), so interleaved
-   touches — which exercise the lazy-invalidation path — stay valid. *)
+   touches — which leave stale queue entries behind — stay valid. *)
 let eviction_storm ~pool ~ops =
   let mem = Phys_mem.create ~frames:pool in
   Phys_mem.set_evict_handler mem (fun _ _ ~dirty:_ -> ());

@@ -88,23 +88,15 @@ let execute_move t (d : Placement_policy.directive) =
             src,
             dst )
           :: t.decisions;
-        (* freeze cleanly before excision: wait for any in-flight
-           reference to retire *)
+        (* [movable] ruled out an in-flight reference, so the process
+           freezes cleanly here and now *)
         Proc_runner.interrupt proc;
-        let rec when_quiet () =
-          if proc.Proc.in_flight then
-            ignore
-              (Engine.schedule world.World.engine ~delay:(Time.ms 2.)
-                 (fun () -> when_quiet ()))
-          else
-            ignore
-              (Migration_manager.migrate
-                 (World.manager world src)
-                 ~proc
-                 ~dest:(Migration_manager.port (World.manager world dst))
-                 ~strategy:t.policy.strategy ())
-        in
-        when_quiet ()
+        ignore
+          (Migration_manager.migrate
+             (World.manager world src)
+             ~proc
+             ~dest:(Migration_manager.port (World.manager world dst))
+             ~strategy:t.policy.strategy ())
       end
 
 let execute t = function

@@ -5,8 +5,8 @@
     {!Placement_policy.snapshot} and executes whatever the configured
     {!Placement_policy.t} decides: [Observe] actions are published as
     {!Mig_event.Auto_threshold} events, [Move] directives become real
-    migrations (interrupt, wait for in-flight references to retire,
-    excise and ship with the policy's strategy).  The decision logic
+    migrations (interrupt a process with no reference in flight, excise
+    and ship with the policy's strategy).  The decision logic
     itself lives entirely in {!Placement_policy}; this module owns the
     clock, the event publication and the migration mechanics. *)
 

@@ -278,39 +278,37 @@ let run ?(seed = 42L) ?(seeds = 3) ?(spec = Accent_workloads.Representative.pm_s
 
 let to_csv t =
   let header =
-    Csv_export.csv_line
-      [
-        "strategy";
-        "seed";
-        "kill_frac";
-        "kill_ms";
-        "recovered";
-        "completed";
-        "integrity_ok";
-        "checkpoint_pages";
-        "recovery_downtime_s";
-        "clean_downtime_s";
-      ]
+    [
+      "strategy";
+      "seed";
+      "kill_frac";
+      "kill_ms";
+      "recovered";
+      "completed";
+      "integrity_ok";
+      "checkpoint_pages";
+      "recovery_downtime_s";
+      "clean_downtime_s";
+    ]
   in
   let rows =
     List.map
       (fun (tr : trial) ->
-        Csv_export.csv_line
-          [
-            Strategy.name tr.strategy;
-            Int64.to_string tr.seed;
-            Printf.sprintf "%g" tr.kill_frac;
-            Printf.sprintf "%.1f" tr.kill_ms;
-            string_of_bool tr.recovered;
-            string_of_bool tr.completed;
-            string_of_bool tr.integrity_ok;
-            string_of_int tr.checkpoint_pages;
-            Printf.sprintf "%.3f" tr.recovery_downtime_s;
-            Printf.sprintf "%.3f" tr.clean_downtime_s;
-          ])
+        [
+          Strategy.name tr.strategy;
+          Int64.to_string tr.seed;
+          Printf.sprintf "%g" tr.kill_frac;
+          Printf.sprintf "%.1f" tr.kill_ms;
+          string_of_bool tr.recovered;
+          string_of_bool tr.completed;
+          string_of_bool tr.integrity_ok;
+          string_of_int tr.checkpoint_pages;
+          Printf.sprintf "%.3f" tr.recovery_downtime_s;
+          Printf.sprintf "%.3f" tr.clean_downtime_s;
+        ])
       t.trials
   in
-  String.concat "\n" (header :: rows) ^ "\n"
+  Csv_export.render header rows
 
 let to_json t =
   let summary s =

@@ -10,6 +10,10 @@
 val csv_line : string list -> string
 (** One properly-quoted CSV record (no trailing newline). *)
 
+val render : string list -> string list list -> string
+(** [render header rows]: the header record and every row, each
+    quoted by {!csv_line} and terminated by a newline. *)
+
 val table_4_1 : Table_4_1.row list -> string
 val table_4_2 : Table_4_2.row list -> string
 val table_4_3 : Table_4_3.row list -> string

@@ -83,39 +83,37 @@ let run ?(seed = 42L) ?(spec = Accent_workloads.Representative.pm_start)
 
 let to_csv t =
   let header =
-    Csv_export.csv_line
-      [
-        "strategy";
-        "overlap";
-        "off_total_bytes";
-        "on_total_bytes";
-        "reduction_pct";
-        "pages_checked";
-        "digest_hits";
-        "bytes_elided";
-        "off_e2e_s";
-        "on_e2e_s";
-      ]
+    [
+      "strategy";
+      "overlap";
+      "off_total_bytes";
+      "on_total_bytes";
+      "reduction_pct";
+      "pages_checked";
+      "digest_hits";
+      "bytes_elided";
+      "off_e2e_s";
+      "on_e2e_s";
+    ]
   in
   let rows =
     List.map
       (fun c ->
-        Csv_export.csv_line
-          [
-            Strategy.name c.strategy;
-            Printf.sprintf "%g" c.overlap;
-            string_of_int (Report.bytes_total c.off);
-            string_of_int (Report.bytes_total c.on_);
-            Printf.sprintf "%.1f" (reduction_pct c);
-            string_of_int c.on_.Report.dedup_pages_checked;
-            string_of_int c.on_.Report.dedup_hits;
-            string_of_int c.on_.Report.dedup_bytes_elided;
-            Printf.sprintf "%.3f" (Report.end_to_end_seconds c.off);
-            Printf.sprintf "%.3f" (Report.end_to_end_seconds c.on_);
-          ])
+        [
+          Strategy.name c.strategy;
+          Printf.sprintf "%g" c.overlap;
+          string_of_int (Report.bytes_total c.off);
+          string_of_int (Report.bytes_total c.on_);
+          Printf.sprintf "%.1f" (reduction_pct c);
+          string_of_int c.on_.Report.dedup_pages_checked;
+          string_of_int c.on_.Report.dedup_hits;
+          string_of_int c.on_.Report.dedup_bytes_elided;
+          Printf.sprintf "%.3f" (Report.end_to_end_seconds c.off);
+          Printf.sprintf "%.3f" (Report.end_to_end_seconds c.on_);
+        ])
       t.cells
   in
-  String.concat "\n" (header :: rows) ^ "\n"
+  Csv_export.render header rows
 
 let render t =
   let buf = Buffer.create 1024 in

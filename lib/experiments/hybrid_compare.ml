@@ -71,31 +71,29 @@ let render rows =
 
 let to_csv rows =
   let header =
-    Csv_export.csv_line
-      [
-        "workload";
-        "strategy";
-        "pushed_bytes";
-        "pulled_bytes";
-        "downtime_s";
-        "end_to_end_s";
-        "outcome";
-      ]
+    [
+      "workload";
+      "strategy";
+      "pushed_bytes";
+      "pulled_bytes";
+      "downtime_s";
+      "end_to_end_s";
+      "outcome";
+    ]
   in
   let lines =
     List.map
       (fun row ->
         let r = row.report in
-        Csv_export.csv_line
-          [
-            row.spec.Accent_workloads.Spec.name;
-            Strategy.name row.strategy;
-            string_of_int (pushed_bytes r);
-            string_of_int (pulled_bytes r);
-            Printf.sprintf "%.3f" (Report.downtime_seconds r);
-            Printf.sprintf "%.3f" (Report.end_to_end_seconds r);
-            Report.outcome_name r.Report.outcome;
-          ])
+        [
+          row.spec.Accent_workloads.Spec.name;
+          Strategy.name row.strategy;
+          string_of_int (pushed_bytes r);
+          string_of_int (pulled_bytes r);
+          Printf.sprintf "%.3f" (Report.downtime_seconds r);
+          Printf.sprintf "%.3f" (Report.end_to_end_seconds r);
+          Report.outcome_name r.Report.outcome;
+        ])
       rows
   in
-  String.concat "\n" (header :: lines) ^ "\n"
+  Csv_export.render header lines

@@ -35,38 +35,36 @@ let run ?(seed = 42L) ?(spec = Accent_workloads.Representative.pm_start)
 
 let to_csv t =
   let header =
-    Csv_export.csv_line
-      [
-        "strategy";
-        "loss_pct";
-        "goodput_bytes";
-        "retransmit_bytes";
-        "ack_bytes";
-        "total_bytes";
-        "retransmits";
-        "end_to_end_s";
-        "outcome";
-      ]
+    [
+      "strategy";
+      "loss_pct";
+      "goodput_bytes";
+      "retransmit_bytes";
+      "ack_bytes";
+      "total_bytes";
+      "retransmits";
+      "end_to_end_s";
+      "outcome";
+    ]
   in
   let rows =
     List.map
       (fun p ->
         let r = p.report in
-        Csv_export.csv_line
-          [
-            Strategy.name p.strategy;
-            Printf.sprintf "%g" p.loss_pct;
-            string_of_int (Report.goodput_bytes r);
-            string_of_int r.Report.bytes_retransmit;
-            string_of_int r.Report.bytes_ack;
-            string_of_int (Report.bytes_total r);
-            string_of_int r.Report.retransmits;
-            Printf.sprintf "%.3f" (Report.end_to_end_seconds r);
-            Report.outcome_name r.Report.outcome;
-          ])
+        [
+          Strategy.name p.strategy;
+          Printf.sprintf "%g" p.loss_pct;
+          string_of_int (Report.goodput_bytes r);
+          string_of_int r.Report.bytes_retransmit;
+          string_of_int r.Report.bytes_ack;
+          string_of_int (Report.bytes_total r);
+          string_of_int r.Report.retransmits;
+          Printf.sprintf "%.3f" (Report.end_to_end_seconds r);
+          Report.outcome_name r.Report.outcome;
+        ])
       t.points
   in
-  String.concat "\n" (header :: rows) ^ "\n"
+  Csv_export.render header rows
 
 let render t =
   let buf = Buffer.create 1024 in

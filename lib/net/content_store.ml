@@ -13,21 +13,17 @@ open Accent_ipc
      and losing an entry can never lose data, because segment contents
      hold their values directly.
 
-   With [dedup] off the digest layer is never touched, so the store is
-   observationally identical to the plain Segment_store it replaced. *)
+   With [capacity_pages = 0] the digest layer is never touched, so the
+   store is observationally identical to the plain Segment_store it
+   replaced. *)
 
-type entry = {
-  value : Page.value;
-  mutable handle : Accent_util.Lazy_heap.handle;
-}
+type entry = { value : Page.value; mutable stamp : int (* live LRU entry *) }
 
 type t = {
-  dedup : bool;
   capacity_pages : int;
   store : Segment_store.t;
   index : (int, entry) Hashtbl.t; (* digest -> value *)
-  lru : (int * int) Accent_util.Lazy_heap.t; (* (last-use tick, digest) *)
-  mutable clock : int;
+  lru : t Accent_util.Recency_queue.t; (* one live entry per digest *)
   mutable hits : int;
   mutable misses : int;
   mutable insertions : int;
@@ -36,18 +32,17 @@ type t = {
   mutable interned : int;
 }
 
-(* Ticks are unique, so the order is strict and the heap pops
-   deterministically. *)
-let lru_earlier (ta, da) (tb, db) = ta < tb || (ta = tb && da < db)
+let digest_stamp t digest =
+  match Hashtbl.find t.index digest with
+  | entry -> entry.stamp
+  | exception Not_found -> -1
 
-let create ?(dedup = false) ?(capacity_pages = 4096) () =
+let create ?(capacity_pages = 4096) () =
   {
-    dedup;
     capacity_pages = max 0 capacity_pages;
     store = Segment_store.create ();
-    index = Hashtbl.create 1024;
-    lru = Accent_util.Lazy_heap.create ~earlier:lru_earlier ();
-    clock = 0;
+    index = Hashtbl.create (if capacity_pages > 0 then 1024 else 1);
+    lru = Accent_util.Recency_queue.create ~stamp_of:digest_stamp;
     hits = 0;
     misses = 0;
     insertions = 0;
@@ -56,23 +51,17 @@ let create ?(dedup = false) ?(capacity_pages = 4096) () =
     interned = 0;
   }
 
-let dedup_enabled t = t.dedup
 let capacity_pages t = t.capacity_pages
 
 (* --- the digest layer --------------------------------------------------- *)
 
 let touch t digest entry =
-  Accent_util.Lazy_heap.cancel t.lru entry.handle;
-  t.clock <- t.clock + 1;
-  entry.handle <- Accent_util.Lazy_heap.push t.lru (t.clock, digest)
+  entry.stamp <- Accent_util.Recency_queue.restamp t.lru t digest
 
 let rec evict_to_capacity t =
   if Hashtbl.length t.index > t.capacity_pages then begin
-    (match Accent_util.Lazy_heap.pop t.lru with
-    | None -> assert false (* every index entry holds a live heap element *)
-    | Some (_, digest) ->
-        Hashtbl.remove t.index digest;
-        t.evictions <- t.evictions + 1);
+    Hashtbl.remove t.index (Accent_util.Recency_queue.pop t.lru t);
+    t.evictions <- t.evictions + 1;
     evict_to_capacity t
   end
 
@@ -87,9 +76,8 @@ let remember t digest value =
         touch t digest entry;
         entry.value
     | None ->
-        t.clock <- t.clock + 1;
-        let handle = Accent_util.Lazy_heap.push t.lru (t.clock, digest) in
-        Hashtbl.replace t.index digest { value; handle };
+        let stamp = Accent_util.Recency_queue.push t.lru t digest in
+        Hashtbl.replace t.index digest { value; stamp };
         t.insertions <- t.insertions + 1;
         evict_to_capacity t;
         value
@@ -136,27 +124,27 @@ let verify t =
 (* --- the segment/offset layer ------------------------------------------- *)
 
 (* Segment contents register their digests (and intern duplicate literal
-   values into one physical copy) only when dedup is on: with it off this
-   is byte-for-byte the old Segment_store hot path, including O(1) extent
-   adoption. *)
+   values into one physical copy) only when the digest layer is on: with
+   it off this is byte-for-byte the old Segment_store hot path, including
+   O(1) extent adoption. *)
 let register t value =
   if t.capacity_pages = 0 then value
   else remember t (Page.digest value) value
 
 let put_page t ~segment_id ~offset value =
-  let value = if t.dedup then register t value else value in
-  Segment_store.put_page t.store ~segment_id ~offset value
+  Segment_store.put_page t.store ~segment_id ~offset (register t value)
 
 let put_extent t ~segment_id ~offset run =
   let run =
-    if t.dedup then Page_run.of_array (Page_run.map_to_array (register t) run)
+    if t.capacity_pages > 0 then
+      Page_run.of_array (Page_run.map_to_array (register t) run)
     else run
   in
   Segment_store.put_extent t.store ~segment_id ~offset run
 
 let put_bytes t ~segment_id ~offset data =
   Segment_store.put_bytes t.store ~segment_id ~offset data;
-  if t.dedup then begin
+  if t.capacity_pages > 0 then begin
     let pages = (Bytes.length data + Page.size - 1) / Page.size in
     for i = 0 to pages - 1 do
       match

@@ -13,24 +13,22 @@
       segments and all migrations, keyed by content digest.  This is the
       cache the digest-first handshake ({!Protocol.Mig_digests} /
       [Mig_need]) consults, and it is {e opportunistic}: LRU-bounded to
-      [capacity_pages] entries (evictions reuse
-      {!Accent_util.Lazy_heap}), and safe to lose entries from at any
+      [capacity_pages] entries, and safe to lose entries from at any
       time, because segment contents reference their values directly.
 
-    With [dedup = false] (the default everywhere) the digest layer is
-    never consulted or populated by the segment operations, making the
-    store behaviourally identical to the Segment_store it replaced —
-    the compatibility guarantee behind dedup being default-off. *)
+    With [capacity_pages = 0] the digest layer is never consulted or
+    populated, making the store behaviourally identical to the
+    Segment_store it replaced — the compatibility guarantee behind dedup
+    being default-off. *)
 
 type t
 
-val create : ?dedup:bool -> ?capacity_pages:int -> unit -> t
+val create : ?capacity_pages:int -> unit -> t
 (** [capacity_pages] bounds the digest index ([4096] by default, i.e.
-    2 MB of 512-byte pages); [0] disables the digest layer cleanly —
-    every find misses and inserts drop.  [dedup] controls whether the
-    segment operations feed the digest layer. *)
+    2 MB of 512-byte pages); [0] switches the digest layer off — finds
+    return [None] without counting, inserts drop, and the segment
+    operations neither feed nor consult it. *)
 
-val dedup_enabled : t -> bool
 val capacity_pages : t -> int
 
 (** {2 Digest layer} *)
@@ -60,10 +58,10 @@ val indexed_pages : t -> int
 
 (** {2 Segment/offset layer}
 
-    Mirrors {!Accent_ipc.Segment_store}.  When [dedup] is on, stored
-    values are also registered in (and interned through) the digest
-    layer, so the NMS cache and the backing server share one physical
-    copy of any page value they both hold. *)
+    Mirrors {!Accent_ipc.Segment_store}.  When the digest layer is on,
+    stored values are also registered in (and interned through) it, so
+    the NMS cache and the backing server share one physical copy of any
+    page value they both hold. *)
 
 val put_page :
   t -> segment_id:int -> offset:int -> Accent_mem.Page.value -> unit

@@ -284,8 +284,10 @@ let create engine ~ids ~host_id ~kernel ~link ~registry ~monitor ~params =
       params;
       cpu = Queue_server.create engine ~name:(Printf.sprintf "nms%d" host_id);
       cache =
-        Content_store.create ~dedup:params.dedup
-          ~capacity_pages:params.dedup_capacity_pages ();
+        Content_store.create
+          ~capacity_pages:
+            (if params.dedup then params.dedup_capacity_pages else 0)
+          ();
       backing_ports = Hashtbl.create 16;
       handled = 0;
       cached_bytes = 0;

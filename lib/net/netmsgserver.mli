@@ -50,8 +50,9 @@ type params = {
           are byte-identical to a build without the feature (the dedup
           experiments turn it on themselves). *)
   dedup_capacity_pages : int;
-      (** LRU bound on the digest index of the host's content store;
-          0 disables opportunistic digest caching cleanly *)
+      (** LRU bound on the digest index of the host's content store
+          when [dedup] is on (with [dedup] off the index is off); 0
+          disables opportunistic digest caching cleanly *)
 }
 
 val default_params : params

@@ -2,14 +2,8 @@
    the simulator's hot loop: entries live in parallel arrays — the time
    keys in a flat float array — so a push allocates nothing but the
    2-word cancellation handle, and every heap comparison reads unboxed
-   floats.  The generic Accent_util.Lazy_heap this replaces stored each
-   entry as a mixed record whose Time.t field the runtime boxed: three
-   allocations (item, boxed float, heap entry) per scheduled event, and
-   a pointer chase per comparison.
-
-   The algorithm (sift rules, lazy cancellation, dead-majority
-   compaction) is ported unchanged, so pop order — and therefore every
-   simulation — is identical. *)
+   floats.  Cancelled entries are skipped at pop and compacted away
+   when they outnumber the live ones. *)
 
 type handle = { mutable dead : bool }
 

@@ -24,8 +24,8 @@ let test_distinct_digests () =
 
 (* --- LRU behaviour vs a linear-fold oracle ------------------------------ *)
 
-(* Most-recent digest first; everything the store does in O(log n) with a
-   lazy heap, the model does by walking a list. *)
+(* Most-recent digest first; everything the store does with its recency
+   queue, the model does by walking a list. *)
 type model = {
   order : int list;
   evs : int;
@@ -78,7 +78,7 @@ let prop_lru_matches_oracle =
     ~name:"store LRU = linear-fold oracle (contents + every counter)"
     arb_ops
     (fun (cap, ops) ->
-      let store = Content_store.create ~dedup:true ~capacity_pages:cap () in
+      let store = Content_store.create ~capacity_pages:cap () in
       List.iter
         (fun (is_insert, key) ->
           if is_insert then Content_store.insert store key_values.(key)
@@ -101,7 +101,7 @@ let v i = key_values.(i)
 let d i = key_digests.(i)
 
 let test_capacity_zero () =
-  let store = Content_store.create ~dedup:true ~capacity_pages:0 () in
+  let store = Content_store.create ~capacity_pages:0 () in
   Content_store.insert store (v 0);
   Alcotest.(check bool) "wire insert accepted" true
     (Content_store.insert_wire store (v 1));
@@ -114,7 +114,7 @@ let test_capacity_zero () =
   Alcotest.(check int) "no evictions" 0 (Content_store.evictions store)
 
 let test_exact_counters () =
-  let store = Content_store.create ~dedup:true ~capacity_pages:2 () in
+  let store = Content_store.create ~capacity_pages:2 () in
   Content_store.insert store (v 0);
   Content_store.insert store (v 1);
   Content_store.insert store (v 2);
@@ -135,7 +135,7 @@ let test_exact_counters () =
   Alcotest.(check int) "indexed" 2 (Content_store.indexed_pages store)
 
 let test_wire_insert_rejects_mismatch () =
-  let store = Content_store.create ~dedup:true ~capacity_pages:16 () in
+  let store = Content_store.create ~capacity_pages:16 () in
   (* the wire claims digest d1 but the bytes hash to d0: drop it *)
   Alcotest.(check bool) "mismatched insert rejected" false
     (Content_store.insert_wire store ~claimed:(d 1) (v 0));
@@ -153,7 +153,7 @@ let test_wire_insert_rejects_mismatch () =
     (Content_store.find store (d 0) <> None)
 
 let test_interning_and_segment_sharing () =
-  let store = Content_store.create ~dedup:true ~capacity_pages:16 () in
+  let store = Content_store.create ~capacity_pages:16 () in
   Content_store.put_page store ~segment_id:1 ~offset:0 (v 3);
   Content_store.put_page store ~segment_id:2 ~offset:512 (Page.pattern_value ~tag:97 4);
   Alcotest.(check int) "one physical copy" 1 (Content_store.indexed_pages store);

@@ -191,18 +191,6 @@ let test_phys_lru_eviction () =
   Alcotest.(check (list int)) "evicted the LRU page" [ 1 ] !evicted;
   Alcotest.(check int) "eviction count" 1 (Phys_mem.evictions mem)
 
-let test_phys_pin_protects () =
-  let mem = Phys_mem.create ~frames:2 in
-  let evicted = ref [] in
-  Phys_mem.set_evict_handler mem (fun o _ ~dirty:_ ->
-      evicted := o.Phys_mem.page :: !evicted);
-  let f0 = Phys_mem.allocate mem ~owner:(owner 1 0) Page.zero_value in
-  let _f1 = Phys_mem.allocate mem ~owner:(owner 1 1) Page.zero_value in
-  Phys_mem.pin mem f0;
-  (* page 0 is older but pinned; page 1 must be chosen *)
-  let _f2 = Phys_mem.allocate mem ~owner:(owner 1 2) Page.zero_value in
-  Alcotest.(check (list int)) "pinned survives" [ 1 ] !evicted
-
 let test_phys_frames_of_space () =
   let mem = Phys_mem.create ~frames:8 in
   ignore (Phys_mem.allocate mem ~owner:(owner 1 10) Page.zero_value);
@@ -389,17 +377,15 @@ let prop_cow_dup_read_equal =
 (* --- hot-path equivalence properties --- *)
 
 (* The old O(frames) victim scan, kept as the executable spec: the
-   heap-based [Phys_mem.choose_victim] must agree with it after every
-   step of any alloc/touch/pin/free trace.  Stamps are unique, so the
-   spec answer is unique and the comparison is exact. *)
+   queue-based [Phys_mem.choose_victim] must agree with it after every
+   step of any alloc/touch/free trace.  Stamps are unique, so the spec
+   answer is unique and the comparison is exact. *)
 let linear_scan_victim model =
   Hashtbl.fold
-    (fun id (last_use, pinned) best ->
-      if pinned then best
-      else
-        match best with
-        | Some (_, best_last) when best_last <= last_use -> best
-        | _ -> Some (id, last_use))
+    (fun id last_use best ->
+      match best with
+      | Some (_, best_last) when best_last <= last_use -> best
+      | _ -> Some (id, last_use))
     model None
   |> Option.map fst
 
@@ -411,8 +397,8 @@ let prop_victim_equals_linear_scan =
       let cap = 8 in
       let mem = Phys_mem.create ~frames:cap in
       Phys_mem.set_evict_handler mem (fun _ _ ~dirty:_ -> ());
-      (* id -> (last_use, pinned), advanced in lockstep with the pool *)
-      let model : (int, int * bool) Hashtbl.t = Hashtbl.create 16 in
+      (* id -> last_use, advanced in lockstep with the pool *)
+      let model : (int, int) Hashtbl.t = Hashtbl.create 16 in
       let clock = ref 0 in
       let next_page = ref 0 in
       let ok = ref true in
@@ -425,43 +411,23 @@ let prop_victim_equals_linear_scan =
           let n = List.length ids in
           let pick () = List.nth ids (arg mod n) in
           (if kind < 40 then begin
-             let full = n >= cap in
-             let all_pinned =
-               Hashtbl.fold (fun _ (_, p) acc -> acc && p) model true
+             if n >= cap then
+               Hashtbl.remove model (Option.get (linear_scan_victim model));
+             incr next_page;
+             let id =
+               Phys_mem.allocate mem
+                 ~owner:{ Phys_mem.space_id = 0; page = !next_page }
+                 Page.zero_value
              in
-             (* a full pool of pinned frames cannot evict; skip the op *)
-             if not (full && all_pinned) then begin
-               if full then
-                 Hashtbl.remove model (Option.get (linear_scan_victim model));
-               incr next_page;
-               let id =
-                 Phys_mem.allocate mem
-                   ~owner:{ Phys_mem.space_id = 0; page = !next_page }
-                   Page.zero_value
-               in
-               incr clock;
-               Hashtbl.replace model id (!clock, false)
-             end
+             incr clock;
+             Hashtbl.replace model id !clock
            end
            else if n = 0 then ()
-           else if kind < 70 then begin
+           else if kind < 80 then begin
              let id = pick () in
              Phys_mem.touch mem id;
              incr clock;
-             let _, pinned = Hashtbl.find model id in
-             Hashtbl.replace model id (!clock, pinned)
-           end
-           else if kind < 80 then begin
-             let id = pick () in
-             Phys_mem.pin mem id;
-             let last, _ = Hashtbl.find model id in
-             Hashtbl.replace model id (last, true)
-           end
-           else if kind < 90 then begin
-             let id = pick () in
-             Phys_mem.unpin mem id;
-             let last, _ = Hashtbl.find model id in
-             Hashtbl.replace model id (last, false)
+             Hashtbl.replace model id !clock
            end
            else begin
              let id = pick () in
@@ -547,7 +513,6 @@ let suite =
       Alcotest.test_case "phys alloc/read" `Quick test_phys_alloc_read;
       Alcotest.test_case "phys write dirty" `Quick test_phys_write_dirty;
       Alcotest.test_case "phys LRU eviction" `Quick test_phys_lru_eviction;
-      Alcotest.test_case "phys pin protects" `Quick test_phys_pin_protects;
       Alcotest.test_case "phys frames of space" `Quick
         test_phys_frames_of_space;
       Alcotest.test_case "phys free recycles" `Quick test_phys_free_recycles;

@@ -248,94 +248,134 @@ let test_chart_stacked () =
   Alcotest.(check bool) "has both layers" true
     (Test_helpers.contains out "#" && Test_helpers.contains out "o")
 
-(* --- Lazy_heap --- *)
+(* --- Recency_queue --- *)
 
-let int_heap ?min_compact () =
-  Lazy_heap.create ?min_compact ~earlier:(fun (a : int) b -> a < b) ()
+(* The caller's side of the contract: key -> current stamp. *)
+let recency_queue () =
+  let stamps : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let stamp_of tbl key =
+    match Hashtbl.find tbl key with s -> s | exception Not_found -> -1
+  in
+  (Recency_queue.create ~stamp_of, stamps)
 
-let drain h =
+let rq_push q stamps key =
+  Hashtbl.replace stamps key (Recency_queue.push q stamps key)
+
+let rq_restamp q stamps key =
+  Hashtbl.replace stamps key (Recency_queue.restamp q stamps key)
+
+let rq_kill q stamps key =
+  Hashtbl.remove stamps key;
+  Recency_queue.kill q stamps
+
+let rq_drain q stamps =
   let rec go acc =
-    match Lazy_heap.pop h with None -> List.rev acc | Some x -> go (x :: acc)
+    if Recency_queue.live q = 0 then List.rev acc
+    else begin
+      let key = Recency_queue.pop q stamps in
+      Hashtbl.remove stamps key;
+      go (key :: acc)
+    end
   in
   go []
 
-let test_lazy_heap_order () =
-  let h = int_heap () in
-  List.iter (fun x -> ignore (Lazy_heap.push h x)) [ 5; 1; 4; 2; 3 ];
-  Alcotest.(check int) "live" 5 (Lazy_heap.live h);
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 4; 5 ] (drain h);
-  Alcotest.(check bool) "empty" true (Lazy_heap.is_empty h)
+let test_recency_queue_empty () =
+  let q, stamps = recency_queue () in
+  let check_empty what =
+    Alcotest.(check (option int)) (what ^ ": no oldest") None
+      (Recency_queue.oldest q stamps);
+    Alcotest.(check int) (what ^ ": live") 0 (Recency_queue.live q);
+    Alcotest.check_raises (what ^ ": pop")
+      (Invalid_argument "Recency_queue.pop: no live entry") (fun () ->
+        ignore (Recency_queue.pop q stamps))
+  in
+  check_empty "fresh";
+  rq_push q stamps 7;
+  rq_restamp q stamps 7;
+  Alcotest.(check (option int))
+    "oldest" (Some 7)
+    (Recency_queue.oldest q stamps);
+  rq_kill q stamps 7;
+  check_empty "after kill";
+  Alcotest.(check int)
+    "stale entries dropped" 0
+    (Recency_queue.physical_size q);
+  rq_push q stamps 3;
+  Alcotest.(check (list int)) "reusable" [ 3 ] (rq_drain q stamps);
+  check_empty "drained"
 
-let test_lazy_heap_cancel () =
-  let h = int_heap () in
-  let _a = Lazy_heap.push h 1 in
-  let b = Lazy_heap.push h 2 in
-  ignore (Lazy_heap.push h 3);
-  Lazy_heap.cancel h b;
-  Alcotest.(check int) "live excludes cancelled" 2 (Lazy_heap.live h);
-  Alcotest.(check (option int)) "peek skips nothing yet" (Some 1)
-    (Lazy_heap.peek h);
-  Alcotest.(check (list int)) "cancelled never pops" [ 1; 3 ] (drain h);
-  (* double-cancel and cancel-after-pop are no-ops *)
-  Lazy_heap.cancel h b;
-  Alcotest.(check int) "still empty" 0 (Lazy_heap.live h)
-
-let test_lazy_heap_cancel_after_pop () =
-  let h = int_heap () in
-  let a = Lazy_heap.push h 1 in
-  ignore (Lazy_heap.push h 2);
-  Alcotest.(check (option int)) "pop a" (Some 1) (Lazy_heap.pop h);
-  Lazy_heap.cancel h a;
-  Alcotest.(check int) "live unaffected by stale cancel" 1 (Lazy_heap.live h)
-
-let test_lazy_heap_peek_discards_dead () =
-  let h = int_heap () in
-  let a = Lazy_heap.push h 1 in
-  ignore (Lazy_heap.push h 2);
-  Lazy_heap.cancel h a;
-  Alcotest.(check (option int)) "peek skips dead top" (Some 2)
-    (Lazy_heap.peek h);
-  Alcotest.(check int) "dead top physically dropped" 1 (Lazy_heap.physical_size h)
-
-let test_lazy_heap_compaction () =
-  let h = int_heap ~min_compact:16 () in
-  let handles = List.init 100 (fun i -> (i, Lazy_heap.push h i)) in
-  List.iter (fun (i, handle) -> if i mod 10 <> 0 then Lazy_heap.cancel h handle)
-    handles;
-  Alcotest.(check int) "live" 10 (Lazy_heap.live h);
-  Alcotest.(check bool) "compacted" true (Lazy_heap.compactions h > 0);
+let test_recency_queue_compaction () =
+  let q, stamps = recency_queue () in
+  for key = 0 to 99 do
+    rq_push q stamps key
+  done;
+  (* bump the odd keys to the back, then kill everything but the
+     multiples of 5 *)
+  for key = 0 to 99 do
+    if key mod 2 = 1 then rq_restamp q stamps key
+  done;
+  for key = 0 to 99 do
+    if key mod 5 <> 0 then rq_kill q stamps key
+  done;
+  Alcotest.(check int) "live" 20 (Recency_queue.live q);
   Alcotest.(check bool)
-    (Printf.sprintf "physical size shrank (%d)" (Lazy_heap.physical_size h))
+    (Printf.sprintf "physical size shrank (%d)" (Recency_queue.physical_size q))
     true
-    (Lazy_heap.physical_size h < 30);
-  Alcotest.(check (list int)) "survivors pop in order"
-    [ 0; 10; 20; 30; 40; 50; 60; 70; 80; 90 ]
-    (drain h)
+    (Recency_queue.physical_size q <= 63);
+  Alcotest.(check (list int)) "survivors leave in stamp order"
+    [
+      0; 10; 20; 30; 40; 50; 60; 70; 80; 90; 5; 15; 25; 35; 45; 55; 65; 75; 85;
+      95;
+    ]
+    (rq_drain q stamps)
 
-let prop_lazy_heap_matches_sort =
-  QCheck.Test.make ~name:"lazy heap with random cancels pops the sorted live set"
+(* Random push / restamp / kill / pop / peek traces against a model:
+   the head is always the live key with the smallest stamp, and the
+   physical size never exceeds twice the live count above the 64-entry
+   floor. *)
+let prop_recency_queue_head_is_min_stamp =
+  QCheck.Test.make ~count:300
+    ~name:"recency queue head = least-stamped live key"
     QCheck.(
-      pair
-        (list_of_size Gen.(int_range 0 300) (int_range 0 10_000))
-        (list_of_size Gen.(int_range 0 300) small_nat))
-    (fun (values, cancels) ->
-      (* unique keys keep [earlier] a strict total order *)
-      let values = List.sort_uniq compare values in
-      let h = int_heap ~min_compact:8 () in
-      let handles = Array.of_list (List.map (fun v -> (v, Lazy_heap.push h v)) values) in
-      let dead = Hashtbl.create 16 in
-      List.iter
-        (fun c ->
-          if Array.length handles > 0 then begin
-            let v, handle = handles.(c mod Array.length handles) in
-            Lazy_heap.cancel h handle;
-            Hashtbl.replace dead v ()
-          end)
-        cancels;
-      let expected =
-        List.filter (fun v -> not (Hashtbl.mem dead v)) values
+      list_of_size
+        Gen.(int_range 0 600)
+        (pair (int_range 0 99) (int_range 0 49)))
+    (fun ops ->
+      let q, stamps = recency_queue () in
+      let min_live () =
+        Hashtbl.fold
+          (fun key stamp best ->
+            match best with
+            | Some (_, s) when s <= stamp -> best
+            | _ -> Some (key, stamp))
+          stamps None
+        |> Option.map fst
       in
-      drain h = expected)
+      List.for_all
+        (fun (kind, key) ->
+          let present = Hashtbl.mem stamps key in
+          let head_ok =
+            if kind < 50 then begin
+              if present then rq_restamp q stamps key else rq_push q stamps key;
+              true
+            end
+            else if kind < 75 then begin
+              if present then rq_kill q stamps key;
+              true
+            end
+            else if kind < 90 then
+              Recency_queue.live q = 0
+              ||
+              let expected = min_live () in
+              let key = Recency_queue.pop q stamps in
+              Hashtbl.remove stamps key;
+              Some key = expected
+            else Recency_queue.oldest q stamps = min_live ()
+          in
+          head_ok
+          && Recency_queue.live q = Hashtbl.length stamps
+          && Recency_queue.physical_size q <= max 63 (2 * Recency_queue.live q))
+        ops)
 
 let suite =
   ( "util",
@@ -365,13 +405,8 @@ let suite =
       Alcotest.test_case "chart timeline" `Quick test_chart_timeline;
       Alcotest.test_case "chart empty" `Quick test_chart_empty_timeline;
       Alcotest.test_case "chart stacked" `Quick test_chart_stacked;
-      Alcotest.test_case "lazy heap order" `Quick test_lazy_heap_order;
-      Alcotest.test_case "lazy heap cancel" `Quick test_lazy_heap_cancel;
-      Alcotest.test_case "lazy heap stale cancel" `Quick
-        test_lazy_heap_cancel_after_pop;
-      Alcotest.test_case "lazy heap peek" `Quick
-        test_lazy_heap_peek_discards_dead;
-      Alcotest.test_case "lazy heap compaction" `Quick
-        test_lazy_heap_compaction;
-      QCheck_alcotest.to_alcotest prop_lazy_heap_matches_sort;
+      Alcotest.test_case "recency queue empty" `Quick test_recency_queue_empty;
+      Alcotest.test_case "recency queue compaction" `Quick
+        test_recency_queue_compaction;
+      QCheck_alcotest.to_alcotest prop_recency_queue_head_is_min_stamp;
     ] )
