@@ -148,32 +148,45 @@ let () =
     n_seeds seq_wall domains par_wall speedup cores;
 
   (* --- JSON ------------------------------------------------------------- *)
-  let oc = open_out out in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc {|  "benchmark": "cluster",%s|} "\n";
-  Printf.fprintf oc {|  "mode": "%s",%s|} (if smoke then "smoke" else "full") "\n";
-  Printf.fprintf oc "  \"policies\": [\n%s\n  ],\n"
-    (String.concat ",\n"
-       (List.map
-          (fun r -> "    " ^ Cluster_scenario.churn_json r)
-          policies));
-  (let r, gc, wall = big in
-   Printf.fprintf oc
-     "  \"big_run\": {\"wall_s\": %.3f, \"events_per_s\": %.1f, \
-      \"minor_words\": %.0f, \"minor_words_per_event\": %.2f, \
-      \"live_words_after\": %d, \"result\": %s},\n"
-     wall
-     (float_of_int r.Cluster_scenario.events /. Float.max 1e-9 wall)
-     gc.Cluster_scenario.minor_words gc.Cluster_scenario.minor_words_per_event
-     gc.Cluster_scenario.live_words_after
-     (Cluster_scenario.churn_json r));
-  Printf.fprintf oc
-    "  \"sweep\": {\"seeds\": %d, \"domains\": %d, \"cores\": %d, \
-     \"seq_wall_s\": %.3f, \"par_wall_s\": %.3f, \"speedup\": %.3f, \
-     \"identical\": true, \"rows\": [\n%s\n  ]}\n"
-    n_seeds domains cores seq_wall par_wall speedup
-    (String.concat ",\n"
-       (List.map (fun r -> "    " ^ Cluster_scenario.churn_json r) seq));
-  Printf.fprintf oc "}\n";
-  close_out oc;
+  let rows rs =
+    Accent_util.Json.List (List.map Cluster_scenario.churn_json rs)
+  in
+  let big_run =
+    let r, gc, wall = big in
+    let events_per_s =
+      float_of_int r.Cluster_scenario.events /. Float.max 1e-9 wall
+    in
+    Accent_util.Json.(
+      Obj
+        [
+          ("wall_s", Float wall);
+          ("events_per_s", Float events_per_s);
+          ("minor_words", Float gc.Cluster_scenario.minor_words);
+          ( "minor_words_per_event",
+            Float gc.Cluster_scenario.minor_words_per_event );
+          ("live_words_after", Int gc.Cluster_scenario.live_words_after);
+          ("result", Cluster_scenario.churn_json r);
+        ])
+  in
+  Accent_util.Json.(
+    to_file out
+      (Obj
+         [
+           ("benchmark", String "cluster");
+           ("mode", String (if smoke then "smoke" else "full"));
+           ("policies", rows policies);
+           ("big_run", big_run);
+           ( "sweep",
+             Obj
+               [
+                 ("seeds", Int n_seeds);
+                 ("domains", Int domains);
+                 ("cores", Int cores);
+                 ("seq_wall_s", Float seq_wall);
+                 ("par_wall_s", Float par_wall);
+                 ("speedup", Float speedup);
+                 ("identical", Bool true);
+                 ("rows", rows seq);
+               ] );
+         ]));
   Printf.printf "cluster: wrote %s\n%!" out

@@ -156,36 +156,49 @@ let timer_churn ~window ~rounds =
 
 (* --- JSON output ------------------------------------------------------- *)
 
-let evict_json r =
-  Printf.sprintf
-    {|    {"pool_frames": %d, "evictions": %d, "wall_s": %.4f, "ns_per_eviction": %.1f}|}
-    r.pool r.ops r.ev_wall_s r.ns_per_op
-
-let ws_json r =
-  Printf.sprintf
-    {|    {"footprint_pages": %d, "queries": %d, "wall_s": %.4f, "ns_per_query": %.1f}|}
-    r.footprint r.queries r.ws_wall_s r.ns_per_query
-
-let timer_json r =
-  Printf.sprintf
-    {|    {"window": %d, "rounds": %d, "ops": %d, "wall_s": %.4f, "ns_per_op": %.1f, "compactions": %d, "max_physical": %d}|}
-    r.window r.rounds r.timer_ops r.tm_wall_s r.tm_ns_per_op r.compactions
-    r.max_physical
-
 let write_json ~path ~mode ~evict ~ws ~timers =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc {|  "benchmark": "hotpath",%s|} "\n";
-  Printf.fprintf oc {|  "mode": "%s",%s|} mode "\n";
-  Printf.fprintf oc {|  "page_bytes": %d,%s|} Page.size "\n";
-  Printf.fprintf oc "  \"eviction_storm\": [\n%s\n  ],\n"
-    (String.concat ",\n" (List.map evict_json evict));
-  Printf.fprintf oc "  \"working_set_churn\": [\n%s\n  ],\n"
-    (String.concat ",\n" (List.map ws_json ws));
-  Printf.fprintf oc "  \"timer_churn\": [\n%s\n  ]\n"
-    (String.concat ",\n" (List.map timer_json timers));
-  Printf.fprintf oc "}\n";
-  close_out oc
+  let open Accent_util.Json in
+  let rows f rs = List (List.map (fun r -> Obj (f r)) rs) in
+  to_file path
+    (Obj
+       [
+         ("benchmark", String "hotpath");
+         ("mode", String mode);
+         ("page_bytes", Int Page.size);
+         ( "eviction_storm",
+           rows
+             (fun r ->
+               [
+                 ("pool_frames", Int r.pool);
+                 ("evictions", Int r.ops);
+                 ("wall_s", Float r.ev_wall_s);
+                 ("ns_per_eviction", Float r.ns_per_op);
+               ])
+             evict );
+         ( "working_set_churn",
+           rows
+             (fun r ->
+               [
+                 ("footprint_pages", Int r.footprint);
+                 ("queries", Int r.queries);
+                 ("wall_s", Float r.ws_wall_s);
+                 ("ns_per_query", Float r.ns_per_query);
+               ])
+             ws );
+         ( "timer_churn",
+           rows
+             (fun r ->
+               [
+                 ("window", Int r.window);
+                 ("rounds", Int r.rounds);
+                 ("ops", Int r.timer_ops);
+                 ("wall_s", Float r.tm_wall_s);
+                 ("ns_per_op", Float r.tm_ns_per_op);
+                 ("compactions", Int r.compactions);
+                 ("max_physical", Int r.max_physical);
+               ])
+             timers );
+       ])
 
 (* --- driver ------------------------------------------------------------ *)
 

@@ -192,15 +192,31 @@ let fig41_probe () =
 (* --- JSON output ------------------------------------------------------- *)
 
 let trial_json (t : trial) =
-  Printf.sprintf
-    {|    {"strategy": "%s", "real_pages": %d, "hosts": %d, "frames": %d, "wall_s": %.4f, "allocated_words": %.0f, "events": %d, "events_per_sec": %.0f, "sim_ms": %.3f, "migrations_completed": %d, "wire_bytes": %d}|}
-    t.strategy t.real_pages t.n_hosts t.frames t.wall_s t.allocated_words
-    t.events t.events_per_sec t.sim_ms t.completed t.wire_bytes
+  Accent_util.Json.(
+    Obj
+      [
+        ("strategy", String t.strategy);
+        ("real_pages", Int t.real_pages);
+        ("hosts", Int t.n_hosts);
+        ("frames", Int t.frames);
+        ("wall_s", Float t.wall_s);
+        ("allocated_words", Float t.allocated_words);
+        ("events", Int t.events);
+        ("events_per_sec", Float t.events_per_sec);
+        ("sim_ms", Float t.sim_ms);
+        ("migrations_completed", Int t.completed);
+        ("wire_bytes", Int t.wire_bytes);
+      ])
 
 let probe_json p =
-  Printf.sprintf
-    {|    {"workload": "%s", "strategy": "%s", "wall_s": %.4f, "allocated_bytes": %.0f}|}
-    p.workload p.strategy p.probe_wall_s p.allocated_bytes
+  Accent_util.Json.(
+    Obj
+      [
+        ("workload", String p.workload);
+        ("strategy", String p.strategy);
+        ("wall_s", Float p.probe_wall_s);
+        ("allocated_bytes", Float p.allocated_bytes);
+      ])
 
 (* --- the content-addressed transfer headline --------------------------- *)
 
@@ -216,31 +232,32 @@ let dedup_json () =
   in
   List.map
     (fun (c : Accent_experiments.Dedup_sweep.cell) ->
-      Printf.sprintf
-        {|    {"strategy": "%s", "overlap": %g, "off_wire_bytes": %d, "on_wire_bytes": %d, "reduction_pct": %.1f, "digest_hits": %d, "pages_checked": %d}|}
-        (Strategy.name c.Accent_experiments.Dedup_sweep.strategy)
-        c.Accent_experiments.Dedup_sweep.overlap
-        (Report.bytes_total c.Accent_experiments.Dedup_sweep.off)
-        (Report.bytes_total c.Accent_experiments.Dedup_sweep.on_)
-        (Accent_experiments.Dedup_sweep.reduction_pct c)
-        c.Accent_experiments.Dedup_sweep.on_.Report.dedup_hits
-        c.Accent_experiments.Dedup_sweep.on_.Report.dedup_pages_checked)
+      Accent_util.Json.(
+        Obj
+          [
+            ("strategy", String (Strategy.name c.strategy));
+            ("overlap", Float c.overlap);
+            ("off_wire_bytes", Int (Report.bytes_total c.off));
+            ("on_wire_bytes", Int (Report.bytes_total c.on_));
+            ( "reduction_pct",
+              Float (Accent_experiments.Dedup_sweep.reduction_pct c) );
+            ("digest_hits", Int c.on_.Report.dedup_hits);
+            ("pages_checked", Int c.on_.Report.dedup_pages_checked);
+          ]))
     t.Accent_experiments.Dedup_sweep.cells
 
 let write_json ~path ~mode ~trials ~probes ~dedup =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc {|  "benchmark": "scale",%s|} "\n";
-  Printf.fprintf oc {|  "mode": "%s",%s|} mode "\n";
-  Printf.fprintf oc {|  "page_bytes": %d,%s|} Accent_mem.Page.size "\n";
-  Printf.fprintf oc "  \"trials\": [\n%s\n  ],\n"
-    (String.concat ",\n" (List.map trial_json trials));
-  Printf.fprintf oc "  \"dedup_sweep\": [\n%s\n  ],\n"
-    (String.concat ",\n" dedup);
-  Printf.fprintf oc "  \"fig41_probe\": [\n%s\n  ]\n"
-    (String.concat ",\n" (List.map probe_json probes));
-  Printf.fprintf oc "}\n";
-  close_out oc
+  Accent_util.Json.(
+    to_file path
+      (Obj
+         [
+           ("benchmark", String "scale");
+           ("mode", String mode);
+           ("page_bytes", Int Accent_mem.Page.size);
+           ("trials", List (List.map trial_json trials));
+           ("dedup_sweep", List dedup);
+           ("fig41_probe", List (List.map probe_json probes));
+         ]))
 
 (* --- driver ------------------------------------------------------------ *)
 

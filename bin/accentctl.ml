@@ -468,16 +468,17 @@ let cluster hosts jobs churn policy domains seed json =
     match json with
     | None -> ()
     | Some path ->
-        let oc = open_out path in
-        Printf.fprintf oc
-          "{\n  \"benchmark\": \"cluster\",\n  \"mode\": \"ctl\",\n  \
-           \"policies\": [\n%s\n  ]\n}\n"
-          (String.concat ",\n"
-             (List.map
-                (fun r ->
-                  "    " ^ Accent_experiments.Cluster_scenario.churn_json r)
-                results));
-        close_out oc;
+        Accent_util.Json.(
+          to_file path
+            (Obj
+               [
+                 ("benchmark", String "cluster");
+                 ("mode", String "ctl");
+                 ( "policies",
+                   List
+                     (List.map Accent_experiments.Cluster_scenario.churn_json
+                        results) );
+               ]));
         Printf.printf "\nwrote %s\n" path
   end
 
@@ -644,9 +645,8 @@ let crashsweep workload seed seeds kills csv json =
   match json with
   | None -> ()
   | Some path ->
-      let oc = open_out path in
-      output_string oc (Accent_experiments.Crash_recovery.to_json t);
-      close_out oc;
+      Accent_util.Json.to_file path
+        (Accent_experiments.Crash_recovery.to_json t);
       Printf.printf "\nwrote %s\n" path
 
 let crashsweep_seeds_arg =

@@ -168,4 +168,3 @@ let start ?live world (policy : policy) =
 
 let migrations_triggered t = t.triggered
 let decisions t = List.rev t.decisions
-let placement_name t = Placement_policy.name t.policy.placement

@@ -40,6 +40,3 @@ val migrations_triggered : t -> int
 
 val decisions : t -> (int * string * int * int) list
 (** [(time_ms, proc_name, from_host, to_host)] log, oldest first. *)
-
-val placement_name : t -> string
-(** Name of the placement policy actually driving this daemon. *)

@@ -232,65 +232,54 @@ let kind_name = function
   | Auto_threshold _ -> "auto-threshold"
   | Auto_candidate _ -> "auto-candidate"
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json ev =
+  let open Accent_util.Json in
   let detail =
     match ev.kind with
     | Requested { proc_name; strategy } ->
-        Printf.sprintf {|,"proc_name":"%s","strategy":"%s"|}
-          (json_escape proc_name)
-          (json_escape (Strategy.name strategy))
+        [
+          ("proc_name", String proc_name);
+          ("strategy", String (Strategy.name strategy));
+        ]
     | Excised { Accent_kernel.Excise.amap_ms; rimas_ms; overall_ms } ->
-        Printf.sprintf {|,"amap_ms":%.3f,"rimas_ms":%.3f,"overall_ms":%.3f|}
-          amap_ms rimas_ms overall_ms
-    | Rimas_delivered { data_bytes } ->
-        Printf.sprintf {|,"data_bytes":%d|} data_bytes
-    | Inserted { insert_ms } -> Printf.sprintf {|,"insert_ms":%.3f|} insert_ms
-    | Frozen { residual_bytes } ->
-        Printf.sprintf {|,"residual_bytes":%d|} residual_bytes
+        [
+          ("amap_ms", Float amap_ms);
+          ("rimas_ms", Float rimas_ms);
+          ("overall_ms", Float overall_ms);
+        ]
+    | Rimas_delivered { data_bytes } -> [ ("data_bytes", Int data_bytes) ]
+    | Inserted { insert_ms } -> [ ("insert_ms", Float insert_ms) ]
+    | Frozen { residual_bytes } -> [ ("residual_bytes", Int residual_bytes) ]
     | Precopy_round { round; bytes } ->
-        Printf.sprintf {|,"round":%d,"bytes":%d|} round bytes
-    | Fault kind -> Printf.sprintf {|,"kind":"%s"|} (fault_kind_name kind)
-    | Prefetch kind ->
-        Printf.sprintf {|,"kind":"%s"|} (prefetch_kind_name kind)
+        [ ("round", Int round); ("bytes", Int bytes) ]
+    | Fault kind -> [ ("kind", String (fault_kind_name kind)) ]
+    | Prefetch kind -> [ ("kind", String (prefetch_kind_name kind)) ]
     | Dedup_digests { pages; hits } ->
-        Printf.sprintf {|,"pages":%d,"hits":%d|} pages hits
-    | Dedup_elided { bytes } -> Printf.sprintf {|,"bytes":%d|} bytes
+        [ ("pages", Int pages); ("hits", Int hits) ]
+    | Dedup_elided { bytes } -> [ ("bytes", Int bytes) ]
     | Checkpointed { pages; new_bytes } ->
-        Printf.sprintf {|,"pages":%d,"new_bytes":%d|} pages new_bytes
-    | Restored { pages } -> Printf.sprintf {|,"pages":%d|} pages
+        [ ("pages", Int pages); ("new_bytes", Int new_bytes) ]
+    | Restored { pages } -> [ ("pages", Int pages) ]
     | Outcome { outcome; remote_touched_pages } ->
-        Printf.sprintf {|,"outcome":"%s","remote_touched_pages":%d|}
-          (Report.outcome_name outcome)
-          remote_touched_pages
+        [
+          ("outcome", String (Report.outcome_name outcome));
+          ("remote_touched_pages", Int remote_touched_pages);
+        ]
     | Auto_threshold { src; spread } ->
-        Printf.sprintf {|,"src":%d,"spread":%.3f|} src spread
+        [ ("src", Int src); ("spread", Float spread) ]
     | Auto_candidate { proc_name; src; dst } ->
-        Printf.sprintf {|,"proc_name":"%s","src":%d,"dst":%d|}
-          (json_escape proc_name) src dst
-    | Engine_abort { reason } ->
-        Printf.sprintf {|,"reason":"%s"|} (json_escape reason)
-    | Core_delivered | Restarted | Transport_give_up -> ""
+        [ ("proc_name", String proc_name); ("src", Int src); ("dst", Int dst) ]
+    | Engine_abort { reason } -> [ ("reason", String reason) ]
+    | Core_delivered | Restarted | Transport_give_up -> []
   in
-  Printf.sprintf {|{"t_ms":%.3f,"proc":%d,"event":"%s"%s}|}
-    (Accent_sim.Time.to_ms ev.at)
-    ev.proc_id (kind_name ev.kind) detail
+  Obj
+    (("t_ms", Float (Accent_sim.Time.to_ms ev.at))
+    :: ("proc", Int ev.proc_id)
+    :: ("event", String (kind_name ev.kind))
+    :: detail)
 
 let jsonl_writer oc ev =
-  output_string oc (to_json ev);
+  output_string oc (Accent_util.Json.to_string (to_json ev));
   output_char oc '\n'
 
 let pp ppf ev =

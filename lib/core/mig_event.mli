@@ -118,11 +118,12 @@ val fold_report : proc_id:int -> t list -> Report.t option
 (** {2 Trace output} *)
 
 val kind_name : kind -> string
-val to_json : t -> string
-(** One self-contained JSON object (a JSONL line, without the newline). *)
+val to_json : t -> Accent_util.Json.t
+(** One JSON object: [t_ms], [proc] and [event] (the {!kind_name}), then
+    the kind's own fields. *)
 
 val jsonl_writer : out_channel -> t -> unit
-(** A subscriber that appends [to_json] lines to the channel. *)
+(** A subscriber that appends each event's {!to_json} as one line. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable one-line rendering, e.g.

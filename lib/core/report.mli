@@ -81,8 +81,6 @@ val create : proc_name:string -> strategy:Strategy.t -> t
 (** {2 Derived durations (seconds)} *)
 
 val excise_seconds : t -> float
-val core_transfer_seconds : t -> float
-(** Excision end to Core delivery. *)
 
 val rimas_transfer_seconds : t -> float
 (** Excision end to RIMAS delivery — the paper's Table 4-5 quantity.  The
@@ -104,11 +102,6 @@ val downtime_seconds : t -> float
 
 val transfer_plus_execution_seconds : t -> float
 (** The sum Figure 4-2 compares across strategies. *)
-
-val recovery_seconds : t -> float
-(** Checkpoint save to checkpoint restore — how long the durable image
-    sat before a crash forced it back into service (0 when either stamp
-    is missing). *)
 
 val goodput_bytes : t -> int
 (** Control + bulk + fault — the traffic the 1987 accounting knew about. *)

@@ -79,4 +79,3 @@ val name : t -> string
 (** e.g. ["iou+pf3"], ["copy"], ["rs"]. *)
 
 val transfer_name : transfer -> string
-val pp : Format.formatter -> t -> unit

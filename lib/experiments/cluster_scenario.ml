@@ -412,11 +412,24 @@ let compare_churn ?(config = default_churn) ?(domains = 1) ?policies () =
     policies
 
 let churn_json r =
-  Printf.sprintf
-    {|{"policy": "%s", "hosts": %d, "jobs_submitted": %d, "jobs_completed": %d, "sim_s": %.3f, "events": %d, "migrations": %d, "migration_rate_per_s": %.4f, "downtime_ms_p50": %.3f, "downtime_ms_p99": %.3f, "downtime_samples": %d, "wire_bytes": %d, "mean_turnaround_s": %.3f, "max_host_jobs": %d}|}
-    r.policy_name r.hosts_n r.jobs_submitted r.jobs_completed r.sim_s r.events
-    r.migrations r.migration_rate_per_s r.downtime_ms_p50 r.downtime_ms_p99
-    r.downtime_samples r.wire_bytes r.mean_turnaround_s r.max_host_jobs
+  let open Accent_util.Json in
+  Obj
+    [
+      ("policy", String r.policy_name);
+      ("hosts", Int r.hosts_n);
+      ("jobs_submitted", Int r.jobs_submitted);
+      ("jobs_completed", Int r.jobs_completed);
+      ("sim_s", Float r.sim_s);
+      ("events", Int r.events);
+      ("migrations", Int r.migrations);
+      ("migration_rate_per_s", Float r.migration_rate_per_s);
+      ("downtime_ms_p50", Float r.downtime_ms_p50);
+      ("downtime_ms_p99", Float r.downtime_ms_p99);
+      ("downtime_samples", Int r.downtime_samples);
+      ("wire_bytes", Int r.wire_bytes);
+      ("mean_turnaround_s", Float r.mean_turnaround_s);
+      ("max_host_jobs", Int r.max_host_jobs);
+    ]
 
 let render_churn ?(title = "Cluster churn: placement policies compared")
     results =

@@ -134,7 +134,7 @@ val churn_seed_sweep :
     ({!Accent_util.Domain_pool}) and merged in seed order; the result
     list is identical for any domain count. *)
 
-val churn_json : churn_result -> string
+val churn_json : churn_result -> Accent_util.Json.t
 (** One flat JSON object (a BENCH_cluster.json row). *)
 
 val render_churn : ?title:string -> churn_result list -> string

@@ -311,25 +311,27 @@ let to_csv t =
   Csv_export.render header rows
 
 let to_json t =
+  let open Accent_util.Json in
   let summary s =
-    Printf.sprintf
-      "{\"strategy\":%S,\"trials\":%d,\"p50_s\":%.3f,\"p99_s\":%.3f,\"clean_p50_s\":%.3f,\"all_completed\":%b,\"all_verified\":%b}"
-      (Strategy.name s.strategy) s.trials s.p50_s s.p99_s s.clean_p50_s
-      s.all_completed s.all_verified
+    Obj
+      [
+        ("strategy", String (Strategy.name s.strategy));
+        ("trials", Int s.trials);
+        ("p50_s", Float s.p50_s);
+        ("p99_s", Float s.p99_s);
+        ("clean_p50_s", Float s.clean_p50_s);
+        ("all_completed", Bool s.all_completed);
+        ("all_verified", Bool s.all_verified);
+      ]
   in
-  Printf.sprintf
-    "{\n\
-    \  \"benchmark\": \"crash_recovery\",\n\
-    \  \"spec\": %S,\n\
-    \  \"seed\": %Ld,\n\
-    \  \"kill_fracs\": [%s],\n\
-    \  \"strategies\": [\n%s\n  ]\n\
-     }\n"
-    t.spec.Accent_workloads.Spec.name t.seed
-    (String.concat ", "
-       (List.map (Printf.sprintf "%g") t.kill_fracs))
-    (String.concat ",\n"
-       (List.map (fun s -> "    " ^ summary s) t.summaries))
+  Obj
+    [
+      ("benchmark", String "crash_recovery");
+      ("spec", String t.spec.Accent_workloads.Spec.name);
+      ("seed", Int (Int64.to_int t.seed));
+      ("kill_fracs", List (List.map (fun f -> Float f) t.kill_fracs));
+      ("strategies", List (List.map summary t.summaries));
+    ]
 
 let render t =
   let buf = Buffer.create 1024 in

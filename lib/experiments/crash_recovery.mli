@@ -71,7 +71,7 @@ val run :
 
 val to_csv : t -> string
 
-val to_json : t -> string
+val to_json : t -> Accent_util.Json.t
 (** Per-strategy summaries as one JSON object — the CI smoke artifact. *)
 
 val render : t -> string

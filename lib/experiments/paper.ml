@@ -22,12 +22,8 @@ let table_4_5 =
     { name = "Chess"; iou_s = 0.21; rs_s = 7.7; copy_s = 11.7 };
   ]
 
-let insert_range_s = (0.263, 0.853)
 let byte_savings_pct = 58.2
 let message_cost_savings_pct = 47.8
-let remote_fault_ms = 115.
-let local_disk_fault_ms = 40.8
 let minprog_iou_slowdown = 44.
 let chess_iou_penalty_pct = 3.
 let pasmac_hit_ratio = 0.78
-let lisp_hit_ratio_range = (0.40, 0.20)

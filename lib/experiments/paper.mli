@@ -16,20 +16,11 @@ val table_4_4 : (string * float * float * float) list
 
 val table_4_5 : row_4_5 list
 
-val insert_range_s : float * float
-(** 0.263 (Minprog) .. 0.853 (Lisp-Del). *)
-
 val byte_savings_pct : float
 (** 58.2: mean byte-traffic reduction, IOU vs copy, no prefetch. *)
 
 val message_cost_savings_pct : float
 (** 47.8: mean message-handling reduction, IOU vs copy, no prefetch. *)
-
-val remote_fault_ms : float
-(** 115: end-to-end imaginary fault service time. *)
-
-val local_disk_fault_ms : float
-(** 40.8 *)
 
 val minprog_iou_slowdown : float
 (** 44: Minprog executes ~44x slower remotely under pure IOU. *)
@@ -39,6 +30,3 @@ val chess_iou_penalty_pct : float
 
 val pasmac_hit_ratio : float
 (** 0.78 across all prefetch values. *)
-
-val lisp_hit_ratio_range : float * float
-(** 0.40 down to 0.20 as prefetch grows. *)

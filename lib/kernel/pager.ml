@@ -86,6 +86,15 @@ let drop_bindings t ~space_id ~notify =
 let release_segments t ~space_id = drop_bindings t ~space_id ~notify:true
 let forget_segments t ~space_id = drop_bindings t ~space_id ~notify:false
 
+(* The faulting process's memory is unrecoverable: kill it, counting the
+   fault as timed out. *)
+let kill_unrecoverable t proc log =
+  t.fault_timeouts <- t.fault_timeouts + 1;
+  proc.Proc.failed <- true;
+  proc.Proc.pcb.Pcb.status <- Pcb.Terminated;
+  proc.Proc.finished_at <- Some (Engine.now t.engine);
+  Logs.err log
+
 (* Install the pages of a read reply.  The first page unblocks the faulting
    process; the rest are prefetch, remembered so later references count as
    hits. *)
@@ -99,18 +108,12 @@ let handle_reply t ~segment_id ~offset ~page_data =
       Hashtbl.remove t.waiting (segment_id, offset);
       Engine.cancel t.engine timeout;
       let n = List.length page_data in
-      if n = 0 then begin
+      if n = 0 then
         (* the backer answered but no longer holds the data (it crashed or
-           retired the segment): the page is unrecoverable, same outcome as
-           a fault timeout *)
-        t.fault_timeouts <- t.fault_timeouts + 1;
-        proc.Proc.failed <- true;
-        proc.Proc.pcb.Pcb.status <- Pcb.Terminated;
-        proc.Proc.finished_at <- Some (Engine.now t.engine);
-        Logs.err (fun m ->
+           retired the segment): same outcome as a fault timeout *)
+        kill_unrecoverable t proc (fun m ->
             m "pager%d: empty read reply for segment %d; %s killed" t.host_id
               segment_id proc.Proc.name)
-      end
       else
       let install_cost =
         Time.ms (t.costs.Cost_model.imag_install_per_page_ms *. float_of_int n)
@@ -189,11 +192,7 @@ let imaginary_fault t proc ~segment_id ~offset ~k =
           ~delay:(Time.ms t.costs.Cost_model.fault_timeout_ms) (fun () ->
             if Hashtbl.mem t.waiting (segment_id, offset) then begin
               Hashtbl.remove t.waiting (segment_id, offset);
-              t.fault_timeouts <- t.fault_timeouts + 1;
-              proc.Proc.failed <- true;
-              proc.Proc.pcb.Pcb.status <- Pcb.Terminated;
-              proc.Proc.finished_at <- Some (Engine.now t.engine);
-              Logs.err (fun m ->
+              kill_unrecoverable t proc (fun m ->
                   m "pager%d: imaginary fault timed out; %s killed (backing \
                      site unreachable)"
                     t.host_id proc.Proc.name)
@@ -255,7 +254,6 @@ let fault_timeouts t = t.fault_timeouts
 let faults_zero t = t.faults_zero
 let faults_disk t = t.faults_disk
 let faults_imag t = t.faults_imag
-let pending_faults t = Hashtbl.length t.waiting
 
 let pending_faults_for t ~proc_id =
   Hashtbl.fold

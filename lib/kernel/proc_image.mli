@@ -75,13 +75,6 @@ val range_run : t -> lo:int -> hi:int -> Page_run.t
 val range_values : t -> lo:int -> hi:int -> Page.value array
 (** [Page_run.to_array (range_run t ~lo ~hi)]. *)
 
-val real_page_values : t -> (Page.index * Page.value) list
-(** Every real page with its value, ascending by page. *)
-
-val digests : t -> int list
-(** Content digests of every real page, in {!real_page_values} order —
-    the digest set a checkpoint pairs with the image skeleton. *)
-
 (** {2 Restore} *)
 
 val restore : Host.t -> t -> Proc.t

@@ -13,7 +13,6 @@ type t = {
 }
 
 let step_read ?(think_ms = 0.) page = { page; think_ms; write = false }
-let step_write ?(think_ms = 0.) page = { page; think_ms; write = true }
 
 let of_arrays ~pages ~think_ms ~writes =
   if
@@ -57,13 +56,6 @@ let pages t =
   List.rev !order
 
 let distinct_pages t = List.length (pages t)
-
-let concat a b =
-  {
-    t_pages = Array.append a.t_pages b.t_pages;
-    t_think = Array.append a.t_think b.t_think;
-    t_write = Bytes.cat a.t_write b.t_write;
-  }
 
 let iter t ~f =
   for i = 0 to length t - 1 do

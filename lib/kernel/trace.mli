@@ -12,7 +12,6 @@ type step = {
 }
 
 val step_read : ?think_ms:float -> Accent_mem.Page.index -> step
-val step_write : ?think_ms:float -> Accent_mem.Page.index -> step
 
 type t
 
@@ -52,8 +51,6 @@ val total_think_ms : t -> float
 val distinct_pages : t -> int
 val pages : t -> Accent_mem.Page.index list
 (** Distinct pages in first-reference order. *)
-
-val concat : t -> t -> t
 
 val iter : t -> f:(step -> unit) -> unit
 

@@ -138,11 +138,6 @@ let materialize t idx value ~resident =
   | Some (Zero | Imaginary _) | None ->
       t.regions <- Interval_map.set t.regions ~lo ~hi Real)
 
-let install_page t ~addr value ~resident =
-  if addr mod Page.size <> 0 then
-    invalid_arg "Address_space.install_page: unaligned address";
-  materialize t (Page.index_of_addr addr) value ~resident
-
 let install_run ?(segment = "<anon>") t ~addr run ~resident =
   if addr mod Page.size <> 0 then
     invalid_arg "Address_space.install_run: unaligned address";
@@ -514,18 +509,6 @@ let import_image t runs =
 
 (* Representation-independent equality: image runs compare by content
    (page values and homes), not by how their runs happen to be sliced. *)
-let image_run_equal a b =
-  match (a, b) with
-  | Img_zero a, Img_zero b -> a.lo = b.lo && a.hi = b.hi
-  | Img_imag a, Img_imag b ->
-      a.lo = b.lo && a.hi = b.hi && a.segment_id = b.segment_id
-      && a.offset = b.offset
-  | Img_real a, Img_real b ->
-      a.lo = b.lo && a.homes = b.homes && Page_run.equal a.run b.run
-  | (Img_zero _ | Img_real _ | Img_imag _), _ -> false
-
-let image_equal a b =
-  List.length a = List.length b && List.for_all2 image_run_equal a b
 
 let page_data t idx = Option.map Page.to_bytes (page_value t idx)
 
@@ -569,8 +552,6 @@ let real_ranges t =
       | Real -> (lo, hi) :: acc
       | Zero | Imaginary _ -> acc)
   |> List.rev
-
-let backed_ranges t = Interval_map.ranges t.regions
 
 let imag_segments t =
   let tbl = Hashtbl.create 8 in

@@ -53,11 +53,6 @@ val map_imaginary : t -> Vaddr.range -> segment_id:int -> offset:int -> unit
     contiguous segment (paper §3.1), so segment offsets generally differ
     from virtual addresses. *)
 
-val install_page : t -> addr:int -> Page.value -> resident:bool -> unit
-(** Materialise one page of real data at the page-aligned [addr]; resident
-    pages take a physical frame (possibly evicting), others go straight to
-    the paging disk.  Overwrites any previous backing for that page. *)
-
 val install_run :
   ?segment:string -> t -> addr:int -> Page_run.t -> resident:bool -> unit
 (** Install a run of page values starting at the page-aligned [addr], one
@@ -175,12 +170,8 @@ val import_image : t -> image_run list -> unit
     runs), disk pages take disk blocks, resident pages take frames
     (possibly evicting).  Imaginary runs are remapped; registering their
     backing ports with the pager is the caller's job.
-    [image_equal (export_image (import_image t runs)) runs] for any
-    exported [runs].  Raises [Invalid_argument] if the space already has
-    validated regions. *)
-
-val image_equal : image_run list -> image_run list -> bool
-(** Content equality, independent of how each run happens to be sliced. *)
+    Re-exporting gives back the same contents as [runs].  Raises
+    [Invalid_argument] if the space already has validated regions. *)
 
 val page_data : t -> Page.index -> Page.data option
 (** [Option.map Page.to_bytes (page_value t idx)]: a fresh materialised
@@ -215,10 +206,6 @@ val total_bytes : t -> int
 
 val real_ranges : t -> (int * int) list
 (** Half-open byte ranges currently backed by real data. *)
-
-val backed_ranges : t -> (int * int * backing) list
-(** Every validated range with its backing, in increasing address order —
-    the raw material of ExciseProcess's address-space collapse. *)
 
 val imag_segments : t -> (int * int) list
 (** [(segment_id, remaining_bytes)] for every imaginary segment that still

@@ -56,11 +56,6 @@ let share store data =
   in
   fresh_handle store len pages
 
-let share_values store ~len values =
-  if (len + Page.size - 1) / Page.size <> Array.length values then
-    invalid_arg "Cow.share_values: length does not match page count";
-  fresh_handle store len (Array.map (alloc_phys store) values)
-
 let dup store h =
   check_live h;
   Array.iter (fun id -> (find_phys store id).refs <- (find_phys store id).refs + 1)
@@ -88,10 +83,6 @@ let read store h =
       end)
     h.pages;
   out
-
-let read_page store h i =
-  check_live h;
-  (find_phys store h.pages.(i)).value
 
 let pages_of _store h =
   check_live h;
@@ -140,12 +131,6 @@ let release store h =
   end
 
 (* --- process-image export / import -------------------------------------- *)
-
-let export_image store h =
-  check_live h;
-  (h.len, Array.map (fun id -> (find_phys store id).value) h.pages)
-
-let import_image store (len, values) = share_values store ~len values
 
 let live_pages store = Hashtbl.length store.phys
 let logical_pages store = store.logical

@@ -18,11 +18,6 @@ val share : store -> bytes -> handle
 (** Bring data into the store (one physical copy, page-granular) and return
     a handle with sole ownership. *)
 
-val share_values : store -> len:int -> Page.value array -> handle
-(** Like {!share} but from immutable page values — nothing is copied or
-    materialised.  [len] is the logical byte length; it must round up to
-    exactly [Array.length values] pages. *)
-
 val dup : store -> handle -> handle
 (** A second logical copy: O(pages) reference bumps, no data copied.  This
     is what message send/receive does. *)
@@ -32,9 +27,6 @@ val length : store -> handle -> int
 
 val read : store -> handle -> bytes
 (** Materialise the full contents (fresh buffer). *)
-
-val read_page : store -> handle -> int -> Page.value
-(** The [i]th page's value (immutable, zero-copy). *)
 
 val write : store -> handle -> offset:int -> bytes -> unit
 (** Write through the handle.  Pages still shared with other handles are
@@ -46,16 +38,6 @@ val release : store -> handle -> unit
 val pages_of : store -> handle -> int
 
 (** {2 Process-image export / import} *)
-
-val export_image : store -> handle -> int * Page.value array
-(** [(logical length, page values)] of the handle's contents — the COW
-    slice of a process image.  Zero-copy: values are shared, never
-    materialised, and the handle stays live. *)
-
-val import_image : store -> int * Page.value array -> handle
-(** Rebuild an exported slice as a fresh sole-owner handle (no bytes
-    move; equivalent to {!share_values}).  [export_image store
-    (import_image store img) = img]. *)
 
 (** {2 Accounting} *)
 

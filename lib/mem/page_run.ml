@@ -10,7 +10,6 @@ let length = function Slice { len; _ } | Gen { len; _ } | Concat { len; _ } -> l
 
 let of_array values = Slice { values; off = 0; len = Array.length values }
 let copy_of_array values = of_array (Array.copy values)
-let of_list values = of_array (Array.of_list values)
 let singleton value = Slice { values = [| value |]; off = 0; len = 1 }
 
 let pattern ~tag ~first ~len =
@@ -200,11 +199,6 @@ let iteri f t =
   match t with Concat { parts; _ } -> Array.iter leaf parts | _ -> leaf t
 
 let iter f t = iteri (fun _ v -> f v) t
-
-let fold_left f init t =
-  let acc = ref init in
-  iter (fun v -> acc := f !acc v) t;
-  !acc
 
 let map_to_array f t =
   let n = length t in

@@ -28,7 +28,6 @@ val copy_of_array : Page.value array -> t
 (** Defensive variant of {!of_array} for callers that keep writing to
     their array. *)
 
-val of_list : Page.value list -> t
 val singleton : Page.value -> t
 
 val pattern : tag:int -> first:Page.index -> len:int -> t
@@ -61,11 +60,8 @@ val concat : t list -> t
 val to_array : t -> Page.value array
 (** Materialize as a fresh array (O(length)). *)
 
-val blit_to : t -> src_pos:int -> Page.value array -> dst_pos:int -> len:int -> unit
-
 val iter : (Page.value -> unit) -> t -> unit
 val iteri : (int -> Page.value -> unit) -> t -> unit
-val fold_left : ('a -> Page.value -> 'a) -> 'a -> t -> 'a
 val map_to_array : (Page.value -> 'a) -> t -> 'a array
 val init : int -> (int -> Page.value) -> t
 

@@ -150,7 +150,6 @@ let touch t id =
   let f = find_frame t id in
   bump t id f
 
-let owner_of t id = (find_frame t id).owner
 let is_dirty t id = (find_frame t id).dirty
 
 let frames_of_space t space_id =

@@ -52,7 +52,6 @@ val write : t -> frame_id -> Page.value -> unit
 val touch : t -> frame_id -> unit
 (** Bump recency only. *)
 
-val owner_of : t -> frame_id -> owner
 val is_dirty : t -> frame_id -> bool
 
 val choose_victim : t -> frame_id option

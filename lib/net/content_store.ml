@@ -176,7 +176,6 @@ let segment_bytes t ~segment_id =
    originally supplied it. *)
 let drop_segment t ~segment_id = Segment_store.drop_segment t.store ~segment_id
 let segments t = Segment_store.segments t.store
-let total_bytes t = Segment_store.total_bytes t.store
 
 (* --- accounting --------------------------------------------------------- *)
 

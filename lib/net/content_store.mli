@@ -84,7 +84,6 @@ val drop_segment : t -> segment_id:int -> unit
     still counts as seen. *)
 
 val segments : t -> int list
-val total_bytes : t -> int
 
 (** {2 Accounting} *)
 

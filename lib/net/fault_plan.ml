@@ -111,12 +111,10 @@ type state = {
   mutable decided : int;
   mutable dropped : int;
   mutable corrupted : int;
-  mutable delayed : int;
 }
 
 let make plan ~rng =
-  { plan; rng; ge_bad = false; decided = 0; dropped = 0; corrupted = 0;
-    delayed = 0 }
+  { plan; rng; ge_bad = false; decided = 0; dropped = 0; corrupted = 0 }
 
 let plan s = s.plan
 
@@ -149,18 +147,15 @@ let decide s ~now_ms ~src ~dst =
     s.corrupted <- s.corrupted + 1;
     { fate = Corrupted; extra_delay_ms = 0. }
   end
-  else if Accent_util.Rng.bernoulli s.rng s.plan.reorder_prob then begin
-    s.delayed <- s.delayed + 1;
+  else if Accent_util.Rng.bernoulli s.rng s.plan.reorder_prob then
     let extra =
       if s.plan.reorder_max_ms > 0. then
         Accent_util.Rng.float s.rng s.plan.reorder_max_ms
       else 0.
     in
     { fate = Delivered; extra_delay_ms = extra }
-  end
   else { fate = Delivered; extra_delay_ms = 0. }
 
 let decided s = s.decided
 let dropped s = s.dropped
 let corrupted s = s.corrupted
-let delayed s = s.delayed

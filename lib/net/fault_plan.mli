@@ -105,4 +105,3 @@ val decide : state -> now_ms:float -> src:int -> dst:int -> decision
 val decided : state -> int
 val dropped : state -> int
 val corrupted : state -> int
-val delayed : state -> int

@@ -39,11 +39,7 @@ let create ?(fault_plan = Fault_plan.none) engine ~params ~monitor =
 
 let params_of t = t.params
 
-let set_fault_plan t plan =
-  t.faults <- Fault_plan.make plan ~rng:(Engine.rng t.engine "link.fault_plan")
-
 let fault_plan t = Fault_plan.plan t.faults
-let fault_state t = t.faults
 
 (* A transmission always needs at least one packet: a 0-byte payload
    (control-only message, bare acknowledgement) still puts one

@@ -34,13 +34,7 @@ val create :
 (** [fault_plan] defaults to {!Fault_plan.none} (deliver everything,
     consult no randomness). *)
 
-val set_fault_plan : t -> Fault_plan.t -> unit
-(** Replace the link's fault plan, resetting the fault model's runtime
-    state (Gilbert–Elliott chain position, counters) and rebinding its
-    RNG stream. *)
-
 val fault_plan : t -> Fault_plan.t
-val fault_state : t -> Fault_plan.state
 
 val transmit :
   t ->

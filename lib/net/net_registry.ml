@@ -50,5 +50,3 @@ let deliver_to t ~host_id msg =
   match Hashtbl.find_opt t.inbound host_id with
   | Some deliver -> deliver msg
   | None -> invalid_arg "Net_registry.deliver_to: unknown host"
-
-let hosts t = Hashtbl.fold (fun id _ acc -> id :: acc) t.inbound [] |> List.sort Int.compare

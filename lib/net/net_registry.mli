@@ -65,5 +65,3 @@ val forget_port : t -> Accent_ipc.Port.id -> unit
 val deliver_to : t -> host_id:int -> fragment -> unit
 (** Hand a fragment that arrived off the wire to a host's NetMsgServer.
     Raises [Invalid_argument] for unknown hosts. *)
-
-val hosts : t -> int list

@@ -173,22 +173,34 @@ let deliver_local t msg =
      | _ -> ());
   Kernel_ipc.send t.kernel msg
 
-(* Inbound: one fragment arrived off the wire.  Reassembly cost is charged
-   per fragment; the per-message costs (stand-in creation for IOU chunks,
-   chunk table processing) are charged with the last fragment, after which
-   the whole message enters the local kernel. *)
+(* The CPU cost of pushing one fragment of [bytes] through an NMS, in
+   either direction. *)
+let fragment_ms p bytes = p.base_ms +. (p.per_byte_ms *. float_of_int bytes)
+
+(* Outbound per-message cost, charged with the first fragment: the IOU
+   cache [setup] and the chunk table. *)
+let first_fragment_extra_ms p ~setup msg =
+  setup +. (p.per_chunk_ms *. float_of_int (chunk_count msg))
+
+(* Inbound: reassembly cost is charged per fragment; the per-message costs
+   (stand-in creation for IOU chunks, chunk table processing) are charged
+   with the last fragment, after which the whole message enters the local
+   kernel. *)
+let inbound_ms p msg ~bytes ~last =
+  fragment_ms p bytes
+  +.
+  if last then
+    (p.per_chunk_ms *. float_of_int (chunk_count msg))
+    +. (p.stand_in_per_chunk_ms *. float_of_int (iou_chunks msg))
+  else 0.
+
+(* Inbound without the ARQ: one fragment arrived off the wire. *)
 let receive t (frag : Net_registry.fragment) =
   let msg = frag.Net_registry.msg in
   let last = frag.Net_registry.index = frag.Net_registry.count - 1 in
   if last then t.handled <- t.handled + 1;
   let cost =
-    t.params.base_ms
-    +. (t.params.per_byte_ms *. float_of_int frag.Net_registry.wire_bytes)
-    +.
-    if last then
-      (t.params.per_chunk_ms *. float_of_int (chunk_count msg))
-      +. (t.params.stand_in_per_chunk_ms *. float_of_int (iou_chunks msg))
-    else 0.
+    inbound_ms t.params msg ~bytes:frag.Net_registry.wire_bytes ~last
   in
   Queue_server.submit t.cpu ~service_time:(Time.ms cost) (fun () ->
       if last then deliver_local t msg;
@@ -229,7 +241,7 @@ let forward t msg =
              live in [Reliable]; we only contribute the cost model *)
           Reliable.send rel ~dst:dest_host ~msg ~wire_bytes:wire
             ~first_fragment_extra_ms:
-              (setup +. (t.params.per_chunk_ms *. float_of_int (chunk_count msg)))
+              (first_fragment_extra_ms t.params ~setup msg)
       | None ->
           let link_params = Link.params_of t.link in
           let payload = link_params.Link.fragment_bytes in
@@ -244,12 +256,9 @@ let forward t msg =
               next := index + 1;
               let wire_bytes = min payload (wire - (index * payload)) in
               let cost =
-                t.params.base_ms
-                +. (t.params.per_byte_ms *. float_of_int wire_bytes)
+                fragment_ms t.params wire_bytes
                 +.
-                if index = 0 then
-                  setup
-                  +. (t.params.per_chunk_ms *. float_of_int (chunk_count msg))
+                if index = 0 then first_fragment_extra_ms t.params ~setup msg
                 else 0.
               in
               Queue_server.submit t.cpu ~service_time:(Time.ms cost) (fun () ->
@@ -308,19 +317,11 @@ let create engine ~ids ~host_id ~kernel ~link ~registry ~monitor ~params =
           (Reliable.create engine ~host_id ~link ~registry ~params:arq_params
              ~cpu:(fun ~service_ms k ->
                Queue_server.submit t.cpu ~service_time:(Time.ms service_ms) k)
-             ~fragment_cost_ms:(fun ~bytes ->
-               params.base_ms +. (params.per_byte_ms *. float_of_int bytes))
+             ~fragment_cost_ms:(fun ~bytes -> fragment_ms params bytes)
              ~on_deliver:(fun ~msg ~wire_bytes ~completes ->
                if completes then t.handled <- t.handled + 1;
                let cost =
-                 params.base_ms
-                 +. (params.per_byte_ms *. float_of_int wire_bytes)
-                 +.
-                 if completes then
-                   (params.per_chunk_ms *. float_of_int (chunk_count msg))
-                   +. (params.stand_in_per_chunk_ms
-                      *. float_of_int (iou_chunks msg))
-                 else 0.
+                 inbound_ms params msg ~bytes:wire_bytes ~last:completes
                in
                Queue_server.submit t.cpu ~service_time:(Time.ms cost)
                  (fun () -> if completes then deliver_local t msg))

@@ -31,8 +31,5 @@ val busy_time : t -> Time.t
 val wait_stats : t -> Accent_util.Stats.t
 (** Per-job queueing delays (arrival to service start). *)
 
-val sojourn_stats : t -> Accent_util.Stats.t
-(** Per-job total times (arrival to completion). *)
-
 val reset_accounting : t -> unit
 (** Zero the counters and stats; queued work is unaffected. *)

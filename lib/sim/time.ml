@@ -11,5 +11,4 @@ let to_seconds t = t /. 1000.
 let to_ms t = t
 let add a b = a +. b
 let diff later earlier = later -. earlier
-let compare (a : t) (b : t) = Float.compare a b
 let pp ppf t = Format.fprintf ppf "%.3fs" (to_seconds t)

@@ -18,6 +18,5 @@ val add : t -> t -> t
 val diff : t -> t -> t
 (** [diff later earlier]. *)
 
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 (** Prints as seconds with millisecond precision, e.g. ["12.345s"]. *)

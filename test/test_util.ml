@@ -1,4 +1,4 @@
-(* Stats, byte formatting, text tables, series binning, charts. *)
+(* Stats, byte formatting, text tables, series binning, charts, JSON. *)
 open Accent_util
 
 (* --- Stats --- *)
@@ -377,6 +377,81 @@ let prop_recency_queue_head_is_min_stamp =
           && Recency_queue.physical_size q <= max 63 (2 * Recency_queue.live q))
         ops)
 
+(* --- Json --- *)
+
+let json name expected v =
+  Alcotest.(check string) name expected (Json.to_string v)
+
+let test_json_escape () =
+  json "quote, backslash, newline, controls" {|"a\"b\\c\nd\u0001e\u0009f"|}
+    (String "a\"b\\c\nd\001e\tf");
+  json "object keys escape too" {|{"k\"": null}|} (Obj [ ("k\"", Null) ])
+
+let test_json_nested () =
+  json "nested list and object"
+    {|{"a": [1, {"b": null, "c": []}, true], "d": {}}|}
+    (Obj
+       [
+         ("a", List [ Int 1; Obj [ ("b", Null); ("c", List []) ]; Bool true ]);
+         ("d", Obj []);
+       ])
+
+let test_json_numbers () =
+  List.iter
+    (fun (expected, v) -> json expected expected v)
+    [
+      ("null", Json.Float nan); ("null", Float infinity);
+      ("null", Float neg_infinity); ("42", Int 42); ("-7", Int (-7));
+      ("2.0", Float 2.); ("0.1", Float 0.1);
+      ("9.590622496156048", Float 9.590622496156048);
+    ]
+
+let prop_json_float_round_trip =
+  QCheck.Test.make ~count:1000 ~name:"json float reads back exactly"
+    QCheck.float (fun f ->
+      QCheck.assume (Float.is_finite f);
+      float_of_string (Json.to_string (Float f)) = f)
+
+(* One event of every kind: the object opens with t_ms, proc and the
+   kind's name, and no key repeats. *)
+let test_json_mig_events () =
+  let open Accent_core.Mig_event in
+  let timings =
+    { Accent_kernel.Excise.amap_ms = 1.5; rimas_ms = 2.25; overall_ms = 63.75 }
+  in
+  let kinds =
+    [
+      Requested
+        { proc_name = "Min\"prog"; strategy = Accent_core.Strategy.pure_copy };
+      Excised timings; Core_delivered; Rimas_delivered { data_bytes = 512 };
+      Inserted { insert_ms = 263. }; Restarted;
+      Frozen { residual_bytes = 1024 }; Precopy_round { round = 2; bytes = 64 };
+      Fault Fault_zero; Prefetch Prefetch_hit;
+      Dedup_digests { pages = 8; hits = 3 }; Dedup_elided { bytes = 1536 };
+      Checkpointed { pages = 4; new_bytes = 2048 }; Restored { pages = 4 };
+      Transport_give_up; Engine_abort { reason = "page\nmissing" };
+      Outcome
+        { outcome = Accent_core.Report.Completed; remote_touched_pages = 9 };
+      Auto_threshold { src = 1; spread = 0.375 };
+      Auto_candidate { proc_name = "chess"; src = 1; dst = 2 };
+    ]
+  in
+  List.iteri
+    (fun i kind ->
+      let at = Accent_sim.Time.ms (float_of_int i +. 0.5) in
+      match to_json { at; proc_id = i; kind } with
+      | Json.Obj (("t_ms", t) :: ("proc", p) :: ("event", e) :: rest) ->
+          let keys = List.map fst rest in
+          Alcotest.(check bool) (kind_name kind) true
+            (t = Float (Accent_sim.Time.to_ms at)
+            && p = Int i
+            && e = String (kind_name kind)
+            && List.length (List.sort_uniq compare keys) = List.length keys)
+      | _ -> Alcotest.failf "%s: not t_ms, proc, event first" (kind_name kind))
+    kinds;
+  Alcotest.(check int) "every kind" 19
+    (List.length (List.sort_uniq compare (List.map kind_name kinds)))
+
 let suite =
   ( "util",
     [
@@ -409,4 +484,9 @@ let suite =
       Alcotest.test_case "recency queue compaction" `Quick
         test_recency_queue_compaction;
       QCheck_alcotest.to_alcotest prop_recency_queue_head_is_min_stamp;
+      Alcotest.test_case "json escaping" `Quick test_json_escape;
+      Alcotest.test_case "json nesting" `Quick test_json_nested;
+      Alcotest.test_case "json numbers" `Quick test_json_numbers;
+      QCheck_alcotest.to_alcotest prop_json_float_round_trip;
+      Alcotest.test_case "json migration events" `Quick test_json_mig_events;
     ] )
