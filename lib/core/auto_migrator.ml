@@ -30,7 +30,7 @@ type t = {
   loads_buf : float array;
       (* one load slot per host, refilled in place each tick; policies
          consume the snapshot synchronously, so the buffer is reusable *)
-  movable_on : int -> Placement_policy.candidate list;
+  movable_on : int -> Placement_policy.candidate Seq.t;
       (* hoisted: built once at [start], not rebuilt per tick *)
   mutable tick_k : unit -> unit;
   mutable triggered : int;
@@ -137,11 +137,16 @@ let start ?live world (policy : policy) =
         (fun host_id -> Load_metric.affinity ~registry host proc ~host_id);
     }
   in
-  let movable_on i =
+  (* nothing is selected until a policy forces the sequence, and only the
+     candidates it reads are built *)
+  let movable_on i () =
     let host = World.host world i in
-    List.filter_map
-      (fun proc -> if movable proc then Some (candidate host proc) else None)
-      (Host.procs host)
+    let selected = Host.filter_procs host movable in
+    let rec from k () =
+      if k = Array.length selected then Seq.Nil
+      else Seq.Cons (candidate host selected.(k), from (k + 1))
+    in
+    from 0 ()
   in
   let t =
     {

@@ -5,25 +5,26 @@ let host_load host =
   +. 0.2
      *. float_of_int (Accent_sim.Queue_server.queue_length (Host.cpu host))
 
-let dispersion ~registry host proc =
+(* Where the process's placed bytes live, one region walk: its
+   materialised pages on its own host, each imaginary region on the host
+   homing the segment's backing port (unlocatable segments are dropped).
+   [f acc home bytes] per share, own host first. *)
+let fold_placed ~registry host proc ~init ~f =
   let space = Proc.space_exn proc in
-  let tally = Hashtbl.create 4 in
-  let add host_id bytes =
-    let prev = Option.value ~default:0 (Hashtbl.find_opt tally host_id) in
-    Hashtbl.replace tally host_id (prev + bytes)
-  in
-  add (Host.id host) (Accent_mem.Address_space.real_bytes space);
-  List.iter
-    (fun (segment_id, bytes) ->
-      match Pager.backing_port (Host.pager host) ~segment_id with
-      | None -> ()
-      | Some port -> (
-          match Accent_net.Net_registry.port_home registry port with
-          | Some home -> add home bytes
-          | None -> ()))
-    (Accent_mem.Address_space.imag_segments space);
-  Hashtbl.fold (fun host_id bytes acc -> (host_id, bytes) :: acc) tally []
-  |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
+  let pager = Host.pager host in
+  Accent_mem.Address_space.fold_imag space
+    ~init:(f init (Host.id host) (Accent_mem.Address_space.real_bytes space))
+    ~f:(fun acc segment_id bytes ->
+      let home = Pager.segment_home pager ~registry ~segment_id in
+      if home < 0 then acc else f acc home bytes)
+
+let dispersion ~registry host proc =
+  fold_placed ~registry host proc ~init:[] ~f:(fun shares home bytes ->
+      match List.assoc_opt home shares with
+      | Some prev -> (home, prev + bytes) :: List.remove_assoc home shares
+      | None -> (home, bytes) :: shares)
+  |> List.sort (fun (h1, a) (h2, b) ->
+         match Int.compare b a with 0 -> Int.compare h1 h2 | c -> c)
 
 (* §6's load metrics are instantaneous, and the threshold policy acts on
    a single sample — so a one-tick queue blip can trigger a migration
@@ -62,10 +63,13 @@ module Ewma = struct
     buf
 end
 
+(* Two integer sums in one walk, one division: bit-identical to reading
+   [host_id]'s share off {!dispersion}, without its list or sort. *)
 let affinity ~registry host proc ~host_id =
-  let shares = dispersion ~registry host proc in
-  let total = List.fold_left (fun acc (_, b) -> acc + b) 0 shares in
-  if total = 0 then 0.
-  else
-    float_of_int (Option.value ~default:0 (List.assoc_opt host_id shares))
-    /. float_of_int total
+  let homed = ref 0 in
+  let total =
+    fold_placed ~registry host proc ~init:0 ~f:(fun total home bytes ->
+        if home = host_id then homed := !homed + bytes;
+        total + bytes)
+  in
+  if total = 0 then 0. else float_of_int !homed /. float_of_int total

@@ -51,9 +51,10 @@ val dispersion :
   Accent_kernel.Proc.t ->
   (int * int) list
 (** [(host_id, bytes)] of everywhere the process's validated non-zero
-    memory currently lives, largest share first.  The process's own host
-    carries its materialised pages; IOU-backed ranges are attributed to
-    the backing port's home host (unlocatable segments are dropped). *)
+    memory currently lives, largest share first (ties by host id).  The
+    process's own host carries its materialised pages; IOU-backed ranges
+    are attributed to the backing port's home host (unlocatable segments
+    are dropped). *)
 
 val affinity :
   registry:Accent_net.Net_registry.t ->
@@ -62,4 +63,6 @@ val affinity :
   host_id:int ->
   float
 (** Fraction of the process's placed bytes living on [host_id]; 0 when the
-    process has no placeable memory. *)
+    process has no placeable memory.  One walk over the space's region map
+    summing two ints: O(regions), with no tables and no per-region
+    allocation — the placement policies ask it per candidate per tick. *)

@@ -13,7 +13,7 @@ type candidate = {
 
 type snapshot = {
   loads : float array;
-  movable : int -> candidate list;
+  movable : int -> candidate Seq.t;
   rng : Accent_util.Rng.t;
 }
 
@@ -60,9 +60,9 @@ let threshold ?(imbalance_threshold = 1.5) ?(affinity_weight = 2.0) () =
     if spread > imbalance_threshold then begin
       let src = max_i in
       let observe = Observe { src; spread } in
-      match s.movable src with
-      | [] -> [ observe ]
-      | victim :: _ -> (
+      match s.movable src () with
+      | Seq.Nil -> [ observe ]
+      | Seq.Cons (victim, _) -> (
           let best = ref None in
           Array.iteri
             (fun i load ->
@@ -111,15 +111,15 @@ let destination_swap ?(imbalance_threshold = 1.5) ?(max_pairs = max_int) ()
       let busy = order.(k) and idle = order.(n - 1 - k) in
       let spread = s.loads.(busy) -. s.loads.(idle) in
       if spread > imbalance_threshold then begin
-        match s.movable busy with
-        | [] -> ()
-        | victim :: _ -> (
+        match s.movable busy () with
+        | Seq.Nil -> ()
+        | Seq.Cons (victim, _) -> (
             actions := Observe { src = busy; spread } :: !actions;
             actions := Move { victim; src = busy; dst = idle } :: !actions;
             (* swap leg: send back a process that is pulled toward the
                busy host's data, keeping the pair level *)
             match
-              List.find_opt
+              Seq.find
                 (fun c ->
                   c.proc_id <> victim.proc_id
                   && c.affinity busy > c.affinity idle +. 1e-9)
@@ -144,11 +144,10 @@ let random () =
     if n < 2 then []
     else begin
       let src = Accent_util.Rng.int s.rng n in
-      match s.movable src with
-      | [] -> []
+      match Array.of_seq (s.movable src) with
+      | [||] -> []
       | candidates ->
-          let arr = Array.of_list candidates in
-          let victim = Accent_util.Rng.choose s.rng arr in
+          let victim = Accent_util.Rng.choose s.rng candidates in
           let dst = (src + 1 + Accent_util.Rng.int s.rng (n - 1)) mod n in
           [ Move { victim; src; dst } ]
     end

@@ -21,8 +21,10 @@ type candidate = {
 
 type snapshot = {
   loads : float array;  (** {!Load_metric.host_load} per host, by id *)
-  movable : int -> candidate list;
-      (** movable processes on a host, stable (proc-id) order *)
+  movable : int -> candidate Seq.t;
+      (** movable processes on a host, stable (proc-id) order; enumerated
+          lazily, so a policy that reads only the head or searches to the
+          first match builds no other candidate *)
   rng : Accent_util.Rng.t;
       (** deterministic stream for randomised policies; part of the
           snapshot so a policy stays a function of its input *)

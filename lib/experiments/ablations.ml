@@ -442,7 +442,14 @@ let render_flow_window rows =
     rows;
   Text_table.render t
 
-(* --- adaptive prefetch --- *)
+(* --- adaptive prefetch ---
+
+   §6: "tasks with special knowledge of the data requirements they will
+   encounter may apply that knowledge".  The adaptive controller learns
+   each program's prefetch sweet spot online: it should walk up towards
+   large prefetch on Pasmac and down to one page on Lisp, approaching the
+   best static setting for each (pf0/pf1/pf7 rows) without being told
+   which is which. *)
 
 type adaptive_row = {
   ap_workload : string;

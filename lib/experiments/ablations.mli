@@ -101,8 +101,6 @@ val ws_vs_rs :
     frames the resident set as a working-set approximation; this measures
     how much better the real estimator predicts. *)
 
-val render_ws_vs_rs : ws_row list -> string
-
 type window_row = {
   window : int;
   win_copy_s : float;
@@ -118,25 +116,7 @@ val flow_window_sweep :
     erase) the paper's headline gap.  Theimer's pre-copy measurements blamed
     exactly this kind of aggressive streaming for buffer overruns. *)
 
-val render_flow_window : window_row list -> string
-
-type adaptive_row = {
-  ap_workload : string;
-  ap_strategy : string;  (** "pf0" / "pf1" / "pf7" / "adaptive" *)
-  ap_exec_s : float;
-  ap_bytes : int;
-  ap_final_prefetch : int option;  (** adaptive only *)
-}
-
-val adaptive_prefetch :
-  ?specs:Accent_workloads.Spec.t list -> unit -> adaptive_row list
-(** §6: "tasks with special knowledge of the data requirements they will
-    encounter may apply that knowledge".  The adaptive controller learns
-    each program's prefetch sweet spot online: it should walk up towards
-    large prefetch on Pasmac and down to one page on Lisp, approaching the
-    best static setting for each without being told which is which. *)
-
-val render_adaptive : adaptive_row list -> string
-
 val run_all : unit -> unit
-(** Print every ablation (used by the bench harness). *)
+(** Print every ablation (used by the bench harness), including the
+    rendered ws-vs-rs and flow-window rows above and the adaptive-prefetch
+    table, which has no other entry point. *)

@@ -23,6 +23,7 @@ type outcome = {
   label : string;
   makespan_s : float;
   mean_turnaround_s : float;
+  completed : int;
   migrations : int;
   placements : int list;
 }
@@ -57,6 +58,18 @@ let run ?(config = default_config) ~policy ~label () =
   let world = World.create ~seed:config.seed ~n_hosts:config.n_hosts () in
   let h0 = World.host world 0 in
   let turnarounds = Accent_util.Stats.create () in
+  (* arrival stamps by proc id, removed as each job's completion is
+     counted: a migration's insert installs its own completion callback on
+     the new incarnation, so a relocated job is counted from the host
+     tables after the run instead, as the churn scenario does *)
+  let arrived : (int, Time.t) Hashtbl.t = Hashtbl.create 16 in
+  let record_turnaround p =
+    match (Hashtbl.find_opt arrived p.Proc.id, p.Proc.finished_at) with
+    | Some t0, Some t ->
+        Hashtbl.remove arrived p.Proc.id;
+        Accent_util.Stats.add turnarounds (Time.to_seconds (Time.diff t t0))
+    | _ -> ()
+  in
   (* jobs arrive staggered on host 0 and start executing there *)
   List.iteri
     (fun i spec ->
@@ -68,22 +81,26 @@ let run ?(config = default_config) ~policy ~label () =
         (Engine.schedule world.World.engine ~delay:(Time.ms arrival)
            (fun () ->
              let proc = Accent_workloads.Spec.build h0 spec in
-             proc.Proc.on_complete <-
-               Some
-                 (fun p ->
-                   match p.Proc.finished_at with
-                   | Some t ->
-                       Accent_util.Stats.add turnarounds
-                         (Time.to_seconds (Time.diff t (Time.ms arrival)))
-                   | None -> ());
+             Hashtbl.replace arrived proc.Proc.id (Time.ms arrival);
+             proc.Proc.on_complete <- Some record_turnaround;
              Proc_runner.start h0 proc)))
     (List.init config.n_jobs (job_spec config));
   let migrator = Option.map (Auto_migrator.start world) policy in
   ignore (World.run world);
+  (* excision removes the source incarnation from its host table, so each
+     relocated job is listed once, on the host where it finished *)
+  Array.iter
+    (fun host ->
+      List.iter
+        (fun p ->
+          if p.Proc.pcb.Pcb.status = Pcb.Terminated then record_turnaround p)
+        (Host.procs host))
+    world.World.hosts;
   {
     label;
     makespan_s = Time.to_seconds (World.now world);
     mean_turnaround_s = acc_mean turnarounds;
+    completed = Accent_util.Stats.count turnarounds;
     migrations =
       Option.value ~default:0
         (Option.map Auto_migrator.migrations_triggered migrator);

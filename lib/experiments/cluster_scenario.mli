@@ -30,6 +30,8 @@ type outcome = {
   label : string;
   makespan_s : float;  (** last completion *)
   mean_turnaround_s : float;  (** mean per-job start-to-finish *)
+  completed : int;
+      (** jobs in that mean: every finished job, wherever it finished *)
   migrations : int;
   placements : int list;  (** final process count per host *)
 }

@@ -55,9 +55,6 @@ type t = {
 val default_kill_fracs : float list
 (** [0.25; 0.5; 0.75]. *)
 
-val default_strategies : unit -> Strategy.t list
-(** All four transfer engines: pure-copy, pure-IOU, pre-copy, hybrid. *)
-
 val run :
   ?seed:int64 ->
   ?seeds:int ->
@@ -67,7 +64,8 @@ val run :
   unit ->
   t
 (** [seeds] worlds per strategy (default 3), each contributing one clean
-    twin plus one crash trial per kill fraction. *)
+    twin plus one crash trial per kill fraction.  [strategies] defaults to
+    all four transfer engines: pure-copy, pure-IOU, pre-copy, hybrid. *)
 
 val to_csv : t -> string
 

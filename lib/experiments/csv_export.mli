@@ -24,9 +24,6 @@ val figure_grid :
   Sweep.t -> metric:(Trial.result -> float) -> string
 (** Long-format rows: representative, strategy, prefetch, value. *)
 
-val figure_4_2 : Sweep.t -> string
-(** Long-format speedup-over-copy rows (copy itself omitted). *)
-
 val figure_4_5 : Figure_4_5.panel list -> string
 (** Long-format rate series: strategy, second, fault_Bps, other_Bps. *)
 

@@ -26,9 +26,6 @@ type t = {
   cells : cell list;
 }
 
-val default_overlaps : float list
-(** [0.; 0.5; 0.9; 1.0] *)
-
 val reduction_pct : cell -> float
 (** Percent of the dedup-off wire bytes the dedup-on run avoided. *)
 
@@ -40,7 +37,8 @@ val run :
   ?domains:int ->
   unit ->
   t
-(** Defaults: pm_start, pure-copy and hybrid, {!default_overlaps}.
+(** Defaults: pm_start, pure-copy and hybrid, overlaps
+    [0.; 0.5; 0.9; 1.0].
     [domains] fans the (strategy × overlap) cell grid across OCaml
     domains; the result is identical for any domain count. *)
 

@@ -15,9 +15,6 @@ type row = {
   report : Accent_core.Report.t;
 }
 
-val pulled_bytes : Accent_core.Report.t -> int
-val pushed_bytes : Accent_core.Report.t -> int
-
 val rows :
   ?seed:int64 ->
   ?write_fraction:float ->

@@ -24,9 +24,6 @@ type t = {
   points : point list;  (** strategy-major, loss ascending within *)
 }
 
-val default_rates_pct : float list
-(** 0, 1, 2, 5, 10. *)
-
 val run :
   ?seed:int64 ->
   ?spec:Accent_workloads.Spec.t ->
@@ -35,7 +32,7 @@ val run :
   t
 (** Pure-copy, pure-IOU and hybrid trials of [spec] (default PM-Start,
     the migration the paper uses for its traffic figures) at each loss
-    rate.
+    rate (default 0, 1, 2, 5 and 10%).
     One seed, shared across the grid: differences between cells are the
     loss rate and nothing else. *)
 

@@ -128,9 +128,15 @@ let release_ports t proc =
 let proc_count t = Hashtbl.length t.procs
 let find_proc t id = Hashtbl.find_opt t.procs id
 
-let procs t =
-  Hashtbl.fold (fun _ proc acc -> proc :: acc) t.procs []
-  |> List.sort (fun a b -> Int.compare a.Proc.id b.Proc.id)
+let filter_procs t f =
+  let selected =
+    Array.of_list
+      (Hashtbl.fold (fun _ p acc -> if f p then p :: acc else acc) t.procs [])
+  in
+  Array.sort (fun a b -> Int.compare a.Proc.id b.Proc.id) selected;
+  selected
+
+let procs t = Array.to_list (filter_procs t (fun _ -> true))
 
 (* Counted directly off the table: this is the load sampler's per-host
    per-tick probe, so it must not build (and sort) a proc list. *)

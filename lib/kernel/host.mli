@@ -62,6 +62,12 @@ val find_proc : t -> int -> Proc.t option
 val procs : t -> Proc.t list
 (** All registered processes, in id order. *)
 
+val filter_procs : t -> (Proc.t -> bool) -> Proc.t array
+(** The registered processes satisfying the predicate, in id order.  The
+    predicate runs before the sort, and the sort is an in-place array
+    sort, so the cost in allocation is a few words per selected process
+    and none per rejected one. *)
+
 val live_proc_count : t -> int
 (** Processes currently Running or Ready. *)
 

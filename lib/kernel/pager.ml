@@ -60,6 +60,11 @@ let register_segment_range t ~segment_id ~offset ~len ~vaddr =
 
 let backing_port t ~segment_id = Hashtbl.find_opt t.segment_ports segment_id
 
+let segment_home t ~registry ~segment_id =
+  match Hashtbl.find t.segment_ports segment_id with
+  | port -> Accent_net.Net_registry.port_home_id registry port
+  | exception Not_found -> -1
+
 let vaddr_of_offset t ~segment_id ~offset =
   match Hashtbl.find_opt t.layouts segment_id with
   | None -> None

@@ -51,6 +51,12 @@ val register_segment_range :
 val backing_port : t -> segment_id:int -> Accent_ipc.Port.id option
 (** The backing port registered for a segment, if any. *)
 
+val segment_home :
+  t -> registry:Accent_net.Net_registry.t -> segment_id:int -> int
+(** The host homing the segment's backing port, or [-1] when the segment
+    has no registered backing port or the port has no home.  Allocates
+    nothing: the placement sampler asks once per imaginary region. *)
+
 val release_segments : t -> space_id:int -> unit
 (** Send Imaginary Segment Death for every segment tied to the space and
     forget the bindings (called when the process terminates or is

@@ -1,5 +1,7 @@
 type t = Real_zero_mem | Real_mem | Imag_mem | Bad_mem
 
+(* 0 = immediately accessible (RealZero), 1 = moderate (Real), 2 = distant
+   (Imag), 3 = infinitely distant (Bad) *)
 let distance = function
   | Real_zero_mem -> 0
   | Real_mem -> 1

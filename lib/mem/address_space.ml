@@ -553,20 +553,15 @@ let real_ranges t =
       | Zero | Imaginary _ -> acc)
   |> List.rev
 
-let imag_segments t =
-  let tbl = Hashtbl.create 8 in
-  Interval_map.iter_range t.regions ~lo:0 ~hi:Vaddr.space_limit
-    ~f:(fun lo hi backing ->
+(* One walk over the region map, no tables: a segment split across
+   several regions is visited once per region.  This is the placement
+   sampler's per-candidate probe (Load_metric.affinity), so it must
+   allocate nothing per region. *)
+let fold_imag t ~init ~f =
+  Interval_map.fold t.regions ~init ~f:(fun acc lo hi backing ->
       match backing with
-      | Imaginary { segment_id; base = _ } ->
-          let prev =
-            Option.value ~default:0 (Hashtbl.find_opt tbl segment_id)
-          in
-          Hashtbl.replace tbl segment_id (prev + hi - lo)
-      | Zero | Real -> ());
-  Hashtbl.fold (fun seg bytes acc -> (seg, bytes) :: acc) tbl []
-  |> List.sort (fun ((s1 : int), (b1 : int)) (s2, b2) ->
-         match Int.compare s1 s2 with 0 -> Int.compare b1 b2 | c -> c)
+      | Imaginary { segment_id; base = _ } -> f acc segment_id (hi - lo)
+      | Zero | Real -> acc)
 
 let region_count t = Interval_map.cardinal t.regions
 let vm_segment_count t = Hashtbl.length t.segments

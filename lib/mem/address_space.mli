@@ -76,7 +76,6 @@ val install_bytes :
 (** {2 Classification} *)
 
 val classify : t -> int -> Accessibility.t
-val presence : t -> int -> presence
 val presence_of_page : t -> Page.index -> presence
 
 val build_amap : t -> Amap.t
@@ -207,9 +206,11 @@ val total_bytes : t -> int
 val real_ranges : t -> (int * int) list
 (** Half-open byte ranges currently backed by real data. *)
 
-val imag_segments : t -> (int * int) list
-(** [(segment_id, remaining_bytes)] for every imaginary segment that still
-    backs part of the space. *)
+val fold_imag : t -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
+(** [f acc segment_id bytes] over every imaginary region still mapped, in
+    increasing address order; a segment split across several regions is
+    visited once per region.  O(regions), and allocates nothing per
+    region. *)
 
 val region_count : t -> int
 (** Number of distinct intervals in the region map — the fragmentation that

@@ -44,6 +44,12 @@ let deliver_arq t ~host_id packet =
   | None -> invalid_arg "Net_registry.deliver_arq: unknown host"
 let set_port_home t port ~host_id = Port.Table.replace t.homes port host_id
 let port_home t port = Port.Table.find_opt t.homes port
+
+let port_home_id t port =
+  match Port.Table.find t.homes port with
+  | host_id -> host_id
+  | exception Not_found -> -1
+
 let forget_port t port = Port.Table.remove t.homes port
 
 let deliver_to t ~host_id msg =

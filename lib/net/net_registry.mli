@@ -60,6 +60,11 @@ val deliver_arq : t -> host_id:int -> arq_packet -> unit
 
 val set_port_home : t -> Accent_ipc.Port.id -> host_id:int -> unit
 val port_home : t -> Accent_ipc.Port.id -> int option
+
+val port_home_id : t -> Accent_ipc.Port.id -> int
+(** {!port_home} without the option: the home host id, or [-1] for a port
+    with no home.  Allocates nothing. *)
+
 val forget_port : t -> Accent_ipc.Port.id -> unit
 
 val deliver_to : t -> host_id:int -> fragment -> unit

@@ -194,14 +194,13 @@ let rec pop_payload_exn t =
     end
   end
 
-let pop_payload t = if t.live = 0 then None else Some (pop_payload_exn t)
-
 let last_time t = t.last_time.(0)
 
 let pop t =
-  match pop_payload t with
-  | None -> None
-  | Some payload -> Some (t.last_time.(0), payload)
+  if t.live = 0 then None
+  else
+    let payload = pop_payload_exn t in
+    Some (t.last_time.(0), payload)
 
 let rec skip_dead_roots t =
   if t.len > 0 && t.slots.(0).dead then begin

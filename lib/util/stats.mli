@@ -25,14 +25,12 @@ type t
 val sketch_alpha : float
 (** Relative accuracy of sketch-mode percentiles: 0.01. *)
 
-val default_exact_capacity : int
-(** Samples retained before spilling to the sketch: 4096.  Every printed
-    table in the repo draws its percentiles from series below this, so
-    their output is identical to the retain-everything behaviour. *)
-
 val create : ?exact_capacity:int -> unit -> t
-(** [exact_capacity] defaults to {!default_exact_capacity}; [0] means
-    sketch-only from the first sample. *)
+(** [exact_capacity] is how many samples are retained before spilling to
+    the sketch; default 4096, and [0] means sketch-only from the first
+    sample.  Every printed table in the repo draws its percentiles from
+    series below the default, so their output is identical to the
+    retain-everything behaviour. *)
 
 val add : t -> float -> unit
 (** Record one observation.  No boxed allocation on the steady state. *)

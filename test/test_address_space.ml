@@ -148,7 +148,8 @@ let test_imaginary_mapping () =
   Alcotest.(check int) "imag bytes" (page_bytes 4)
     (Address_space.imag_bytes space);
   Alcotest.(check (list (pair int int))) "segments" [ (9, page_bytes 4) ]
-    (Address_space.imag_segments space)
+    (Address_space.fold_imag space ~init:[] ~f:(fun acc seg bytes ->
+         (seg, bytes) :: acc))
 
 let test_imaginary_fault_resolution () =
   let space, _, _ = fresh () in

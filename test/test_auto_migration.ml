@@ -192,6 +192,144 @@ let test_affinity_pull () =
     (Load_metric.affinity ~registry:world_reg h0 proc ~host_id:1);
   ignore world
 
+(* --- affinity against the tally-and-sort formula ------------------------ *)
+
+(* Where an imaginary segment's backing port lives. *)
+type home = Homed of int | Unbacked | Unhomed
+
+(* A process on host 0 of a 4-host world: [real_pages] materialised pages
+   plus one imaginary segment per [(home, regions)] entry, mapped as one
+   region per element of [regions] (its page count), gapped so regions
+   never coalesce.  Homed segments get a port homed on that host; unhomed
+   ones a port whose home was forgotten; unbacked ones no port at all. *)
+let layout_proc ~real_pages segments =
+  let world = World.create ~n_hosts:4 () in
+  let h0 = World.host world 0 in
+  let page = Accent_mem.Page.size in
+  let space = Host.new_space h0 ~name:"layout" in
+  if real_pages > 0 then
+    Accent_mem.Address_space.install_values space ~addr:0
+      (Array.init real_pages (fun i ->
+           Accent_mem.Page.of_bytes (Accent_mem.Page.pattern ~tag:1 i)))
+      ~resident:true;
+  let next_addr = ref (1024 * page) in
+  List.iteri
+    (fun i (home, regions) ->
+      let segment_id = 1000 + i in
+      List.iteri
+        (fun k pages ->
+          Accent_mem.Address_space.map_imaginary space
+            (Accent_mem.Vaddr.of_len !next_addr (pages * page))
+            ~segment_id ~offset:(k * 64 * page);
+          next_addr := !next_addr + ((pages + 1) * page))
+        regions;
+      let register port =
+        Pager.register_segment (Host.pager h0)
+          ~space_id:(Accent_mem.Address_space.id space) ~segment_id
+          ~backing_port:port
+      in
+      match home with
+      | Homed h -> register (Host.new_port (World.host world h))
+      | Unhomed ->
+          let port = Host.new_port (World.host world 1) in
+          Accent_net.Net_registry.forget_port world.World.registry port;
+          register port
+      | Unbacked -> ())
+    segments;
+  let proc =
+    Host.spawn h0 ~name:"layout" ~trace:(Trace.of_steps []) ~space ()
+  in
+  (world, h0, proc)
+
+(* The formula [affinity] had before it became one walk: tally bytes per
+   host in a table (own host's real bytes first, then every locatable
+   segment's total), list and sort the shares, read one off. *)
+let oracle_shares ~real_pages segments =
+  let page = Accent_mem.Page.size in
+  let tally = Hashtbl.create 4 in
+  let add host bytes =
+    Hashtbl.replace tally host
+      (bytes + Option.value ~default:0 (Hashtbl.find_opt tally host))
+  in
+  add 0 (real_pages * page);
+  List.iter
+    (fun (home, regions) ->
+      match home with
+      | Homed h -> add h (page * List.fold_left ( + ) 0 regions)
+      | Unbacked | Unhomed -> ())
+    segments;
+  Hashtbl.fold (fun h b acc -> (h, b) :: acc) tally []
+  |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
+
+let oracle_affinity shares ~host_id =
+  let total = List.fold_left (fun acc (_, b) -> acc + b) 0 shares in
+  if total = 0 then 0.
+  else
+    float_of_int (Option.value ~default:0 (List.assoc_opt host_id shares))
+    /. float_of_int total
+
+let gen_layout =
+  let open QCheck.Gen in
+  let home =
+    frequency
+      [
+        (6, map (fun h -> Homed h) (int_bound 3));
+        (1, return Unbacked);
+        (1, return Unhomed);
+      ]
+  in
+  pair (int_bound 6)
+    (list_size (int_bound 8)
+       (pair home (list_size (int_range 1 3) (int_range 1 4))))
+
+let prop_affinity_matches_oracle =
+  QCheck.Test.make ~name:"affinity = tally-and-sort oracle" ~count:150
+    (QCheck.make gen_layout) (fun (real_pages, segments) ->
+      let world, h0, proc = layout_proc ~real_pages segments in
+      let registry = world.World.registry in
+      let shares = oracle_shares ~real_pages segments in
+      List.for_all
+        (fun host_id ->
+          Float.equal
+            (oracle_affinity shares ~host_id)
+            (Load_metric.affinity ~registry h0 proc ~host_id))
+        [ 0; 1; 2; 3; 7 ]
+      && List.sort compare (Load_metric.dispersion ~registry h0 proc)
+         = List.sort compare shares)
+
+(* The sampler asks affinity per candidate per tick, so its cost may not
+   grow with the process's segment count: the same words per call for
+   one and for 32 imaginary segments (the table-building formula spent
+   several words more per segment), and within a fixed budget. *)
+let affinity_words ~segments =
+  let world, h0, proc =
+    layout_proc ~real_pages:4
+      (List.init segments (fun i -> (Homed (1 + (i mod 3)), [ 2 ])))
+  in
+  let registry = world.World.registry in
+  let calls = 1_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore
+      (Sys.opaque_identity (Load_metric.affinity ~registry h0 proc ~host_id:1))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int calls
+
+let affinity_word_budget = 40.
+
+let test_affinity_allocation_flat () =
+  let one = affinity_words ~segments:1 in
+  let many = affinity_words ~segments:32 in
+  Alcotest.(check (float 0.))
+    (Printf.sprintf "words/call at 32 segments (%.2f) = at 1 segment (%.2f)"
+       many one)
+    one many;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words/call within the %.0f-word budget" many
+       affinity_word_budget)
+    true
+    (many <= affinity_word_budget)
+
 let suite =
   ( "auto_migration",
     [
@@ -204,6 +342,9 @@ let suite =
       Alcotest.test_case "respects threshold" `Quick
         test_auto_migrator_respects_threshold;
       Alcotest.test_case "affinity pull" `Quick test_affinity_pull;
+      QCheck_alcotest.to_alcotest prop_affinity_matches_oracle;
+      Alcotest.test_case "affinity allocation flat in segments" `Quick
+        test_affinity_allocation_flat;
     ] )
 
 (* --- the cluster scenario experiment --- *)
@@ -232,6 +373,14 @@ let test_cluster_scenario_outcomes () =
   Alcotest.(check bool) "balancing cuts the makespan" true
     (levelled.Accent_experiments.Cluster_scenario.makespan_s
     < unmanaged.Accent_experiments.Cluster_scenario.makespan_s *. 0.8);
+  (* a migrated job finishes under its destination's completion callback,
+     so it must be found on the host tables, not lost *)
+  List.iter
+    (fun o ->
+      Alcotest.(check int)
+        (o.Accent_experiments.Cluster_scenario.label ^ ": every job timed")
+        4 o.Accent_experiments.Cluster_scenario.completed)
+    outcomes;
   Alcotest.(check bool) "turnaround improves too" true
     (levelled.Accent_experiments.Cluster_scenario.mean_turnaround_s
     < unmanaged.Accent_experiments.Cluster_scenario.mean_turnaround_s);

@@ -270,16 +270,17 @@ let snap loads =
     Placement_policy.loads;
     movable =
       (fun i ->
-        if i = 0 then
-          [
-            {
-              Placement_policy.proc_id = 1;
-              proc_name = "spiky";
-              host = 0;
-              affinity = (fun _ -> 0.);
-            };
-          ]
-        else []);
+        List.to_seq
+          (if i = 0 then
+             [
+               {
+                 Placement_policy.proc_id = 1;
+                 proc_name = "spiky";
+                 host = 0;
+                 affinity = (fun _ -> 0.);
+               };
+             ]
+           else []));
     rng = Accent_util.Rng.create 1L;
   }
 

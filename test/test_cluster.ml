@@ -15,7 +15,7 @@ let cand ?(affinity = fun _ -> 0.) ~id ~host () =
   }
 
 let snap ?(rng = Accent_util.Rng.create 7L) ~loads movable =
-  { Placement_policy.loads; movable; rng }
+  { Placement_policy.loads; movable = (fun i -> List.to_seq (movable i)); rng }
 
 let no_movable _ = []
 
